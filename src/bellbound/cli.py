@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
 import json
 import math
 import os
@@ -101,18 +102,18 @@ def load_inequality(spec: str) -> PairwiseInequality:
 
 def load_vectors(spec: str) -> UnitVectorConfig:
     data = _load_json_source(spec)
-    if isinstance(data, list):
-        return UnitVectorConfig(np.asarray(data, dtype=float))
-    return UnitVectorConfig.from_json_dict(data)
+    if isinstance(data, dict):
+        return UnitVectorConfig.from_json_dict(data)
+    return UnitVectorConfig(data)
 
 
-def load_point(spec: str) -> np.ndarray:
+def load_point(spec: str) -> list:
     data = _load_json_source(spec)
     if isinstance(data, dict):
         data = data.get("point")
     if not isinstance(data, list):
         raise BellboundError("point must be a JSON array of numbers")
-    return np.asarray(data, dtype=float)
+    return data
 
 
 def parse_polytope(name: str) -> PolytopeSpec:
@@ -198,9 +199,8 @@ def _cmd_web(args) -> int:
 
 
 def _cmd_cliqueweb(args) -> int:
-    ineq = clique_web_inequality(WebSpec(args.p, args.q, args.r))
-    rows = [{"i": i, "j": j, "value": w} for (i, j), w in sorted(ineq.coefficients.items())]
-    _emit(args, ineq.to_json_dict(), rows)
+    payload = clique_web_inequality(WebSpec(args.p, args.q, args.r)).to_json_dict()
+    _emit(args, payload, payload["coefficients"])
     return 0
 
 
@@ -302,12 +302,8 @@ def _normalized_to_unit_bound(ineq: PairwiseInequality, guard: int) -> PairwiseI
     bound = classical_bound(ineq, guard=guard).max_value
     if bound <= 0:
         raise ParameterError("classical bound must be positive to normalize")
-    return PairwiseInequality(
-        mode=ineq.mode,
-        n_left=ineq.n_left,
-        n_right=ineq.n_right,
-        coefficients={k: v / bound for k, v in ineq.coefficients.items()},
-        rhs=1.0,
+    return dataclasses.replace(
+        ineq, coefficients={k: v / bound for k, v in ineq.coefficients.items()}, rhs=1.0
     )
 
 
@@ -427,7 +423,7 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument(
         "--guard",
         type=int,
-        default=int(os.environ.get("BELLBOUND_GUARD", DEFAULT_GUARD)),
+        default=os.environ.get("BELLBOUND_GUARD", str(DEFAULT_GUARD)),
         help="enumeration size guard (env BELLBOUND_GUARD overrides the default)",
     )
 
@@ -462,11 +458,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--ineq", required=True, help="chsh, triangle, cliqueweb:p,q,r, or JSON")
     p.add_argument("--vectors", required=True, help="vector-config JSON file or string")
     p.add_argument(
-        "--transported",
-        action="store_true",
-        help="use transported correlations on one party (the default)",
-    )
-    p.add_argument(
         "--raw-singlet",
         action="store_true",
         help="score complete-mode pairs with raw singlet correlations instead",
@@ -494,7 +485,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("tsirelson", parents=[common], help="operator realization report")
     p.add_argument("--vectors", required=True)
-    p.add_argument("--report", choices=("json",), help="force JSON output")
     p.add_argument(
         "--dump-operators",
         action="store_true",
@@ -538,8 +528,6 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
-    if getattr(args, "report", None) == "json":
-        args.format = "json"
     try:
         return args.fn(args)
     except BellboundError as exc:

@@ -49,22 +49,23 @@ def max_over_signs(
     n_vars: int,
     pairs: Sequence[tuple[int, int, float]],
     guard: int = DEFAULT_GUARD,
-    fold_symmetry: bool = True,
-    use_exact: bool | None = None,
 ):
     """Maximize sum of w * X_i * X_j over sign assignments.
+
+    X_0 is pinned to +1 (the form is invariant under a global flip), so
+    half the cube is searched.  Weights that are all half-integers are
+    accumulated in integers, which makes the maximum exact; any other
+    weights are accumulated in floats.
 
     Args:
         n_vars: number of +-1 variables.
         pairs: (i, j, weight) triples with 0 <= i < j < n_vars.
         guard: refuse runs with more than this many variables.
-        fold_symmetry: pin X_0 = +1 and search half the cube.
-        use_exact: force integer (True) or float (False) accumulation;
-            None picks integers when the weights are half-integers.
 
     Returns:
-        (max_value, argmax, evaluations) where argmax is a tuple of signs
-        and ties are broken by the first maximizer in Gray-code order.
+        (max_value, argmax, evaluations) where argmax is a tuple of signs,
+        evaluations is 2**(n_vars - 1), and ties are broken by the first
+        maximizer in Gray-code order.
     """
     if n_vars < 1:
         raise ParameterError(f"need at least one variable, got {n_vars}")
@@ -79,9 +80,7 @@ def max_over_signs(
         if not math.isfinite(w):
             raise ParameterError(f"weight on pair ({i}, {j}) is not finite")
 
-    exact = _as_exact_weights(pairs) if use_exact in (None, True) else None
-    if use_exact is True and exact is None:
-        raise ParameterError("coefficients are not half-integers; exact mode unavailable")
+    exact = _as_exact_weights(pairs)
     work = exact if exact is not None else [(i, j, float(w)) for i, j, w in pairs]
 
     adjacency: list[list[tuple[int, object]]] = [[] for _ in range(n_vars)]
@@ -95,9 +94,8 @@ def max_over_signs(
     best_x = tuple(x)
     evaluations = 1
 
-    free = list(range(1, n_vars)) if fold_symmetry else list(range(n_vars))
-    for bit in gray_flip_sequence(len(free)):
-        k = free[bit]
+    for bit in gray_flip_sequence(n_vars - 1):
+        k = bit + 1
         g = 0
         for j, w in adjacency[k]:
             g += w * x[j]
@@ -117,12 +115,8 @@ def min_over_signs(
     n_vars: int,
     pairs: Sequence[tuple[int, int, float]],
     guard: int = DEFAULT_GUARD,
-    fold_symmetry: bool = True,
-    use_exact: bool | None = None,
 ):
     """Minimize the pairwise form; same contract as max_over_signs."""
     negated = [(i, j, -w) for i, j, w in pairs]
-    value, argmin, evaluations = max_over_signs(
-        n_vars, negated, guard=guard, fold_symmetry=fold_symmetry, use_exact=use_exact
-    )
+    value, argmin, evaluations = max_over_signs(n_vars, negated, guard=guard)
     return -value, argmin, evaluations

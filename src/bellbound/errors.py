@@ -1,4 +1,6 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the numeric input check."""
+
+import numpy as np
 
 
 class BellboundError(Exception):
@@ -19,3 +21,14 @@ class ResourceLimitError(BellboundError, RuntimeError):
 
 class ConvergenceError(BellboundError, RuntimeError):
     """An iterative routine hit its cap without reaching tolerance."""
+
+
+def finite_array(values, what: str) -> np.ndarray:
+    """values as a float array, refusing ragged, non-numeric or non-finite input."""
+    try:
+        array = np.asarray(values, dtype=float)
+    except (TypeError, ValueError) as exc:
+        raise ParameterError(f"{what} must be a rectangular array of numbers: {exc}") from exc
+    if not np.isfinite(array).all():
+        raise ParameterError(f"{what} must be finite")
+    return array

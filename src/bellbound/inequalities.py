@@ -12,8 +12,10 @@ finite cube, computed here by exact enumeration.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
-from typing import Iterable
+from types import MappingProxyType
+from typing import Iterable, Mapping
 
 from . import enumeration
 from .enumeration import DEFAULT_GUARD
@@ -37,9 +39,13 @@ class SignAssignment:
         return len(self.values)
 
 
-@dataclass
+@dataclass(frozen=True)
 class PairwiseInequality:
     """A bounded linear form in pairwise products.
+
+    Instances are immutable: coefficients is a read-only copy of the
+    mapping passed in, so a checked inequality stays checked.  Use
+    dataclasses.replace for a changed copy; it is validated afresh.
 
     Attributes:
         mode: MODE_COMPLETE (pairs X_i X_j, i < j) or MODE_BIPARTITE
@@ -55,8 +61,9 @@ class PairwiseInequality:
     mode: str
     n_left: int
     n_right: int
-    coefficients: dict[tuple[int, int], float] = field(default_factory=dict)
+    coefficients: Mapping[tuple[int, int], float] = field(default_factory=dict)
     rhs: float = 0.0
+    _pairs: tuple[tuple[int, int, float], ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.mode not in (MODE_COMPLETE, MODE_BIPARTITE):
@@ -66,33 +73,26 @@ class PairwiseInequality:
                 raise DimensionError("complete mode requires n_right == 0")
             if self.n_left < 1:
                 raise DimensionError("need at least one variable")
-            for i, j in self.coefficients:
-                if not (0 <= i < j < self.n_left):
-                    raise DimensionError(f"bad complete-mode pair ({i}, {j})")
-        else:
-            if self.n_left < 1 or self.n_right < 1:
-                raise DimensionError("bipartite mode requires variables on both sides")
-            for i, j in self.coefficients:
-                if not (0 <= i < self.n_left and 0 <= j < self.n_right):
-                    raise DimensionError(f"bad bipartite pair ({i}, {j})")
-        if not _finite(self.rhs) or not all(_finite(v) for v in self.coefficients.values()):
-            raise ParameterError("coefficients and rhs must be finite")
+        elif self.n_left < 1 or self.n_right < 1:
+            raise DimensionError("bipartite mode requires variables on both sides")
+        _freeze_coefficients(self, self.n_left, self.n_right)
+
+    def __reduce__(self):
+        # a mappingproxy cannot be pickled or deep-copied; a dict can
+        return type(self), (self.mode, self.n_left, self.n_right, dict(self.coefficients), self.rhs)
 
     @property
     def variable_count(self) -> int:
         return self.n_left + self.n_right
 
-    def engine_pairs(self) -> list[tuple[int, int, float]]:
+    def engine_pairs(self) -> tuple[tuple[int, int, float], ...]:
         """Coefficients reindexed over the joint variable list.
 
         Bipartite Y_j becomes variable n_left + j, so both modes reduce
-        to one pairwise form on variable_count signs.
+        to one pairwise form on variable_count signs.  The triples are
+        sorted by pair, and every evaluation sums in this order.
         """
-        if self.mode == MODE_COMPLETE:
-            items = [(i, j, w) for (i, j), w in self.coefficients.items()]
-        else:
-            items = [(i, self.n_left + j, w) for (i, j), w in self.coefficients.items()]
-        return sorted(items, key=lambda t: (t[0], t[1]))
+        return self._pairs
 
     def to_json_dict(self) -> dict:
         return {
@@ -113,15 +113,13 @@ class PairwiseInequality:
                 (int(c["i"]), int(c["j"])): float(c["value"])
                 for c in data["coefficients"]
             }
-            return cls(
-                mode=str(data["mode"]),
-                n_left=int(data["n_left"]),
-                n_right=int(data["n_right"]),
-                coefficients=coeffs,
-                rhs=float(data["rhs"]),
-            )
+            mode, n_left, n_right = str(data["mode"]), int(data["n_left"]), int(data["n_right"])
+            rhs = float(data["rhs"])
         except KeyError as exc:
             raise ParameterError(f"inequality JSON is missing field {exc}") from exc
+        except (TypeError, ValueError) as exc:
+            raise ParameterError(f"malformed inequality JSON: {exc}") from exc
+        return cls(mode, n_left, n_right, coeffs, rhs)
 
     def to_json(self, indent: int | None = 2) -> str:
         return json.dumps(self.to_json_dict(), indent=indent, sort_keys=True)
@@ -179,25 +177,16 @@ def evaluate(ineq: PairwiseInequality, assignment: SignAssignment) -> float:
     return total
 
 
-def classical_bound(
-    ineq: PairwiseInequality,
-    guard: int = DEFAULT_GUARD,
-    fold_symmetry: bool = True,
-    use_exact: bool | None = None,
-) -> ClassicalBoundResult:
+def classical_bound(ineq: PairwiseInequality, guard: int = DEFAULT_GUARD) -> ClassicalBoundResult:
     """Tight local bound: max of the form over all sign assignments.
 
-    The form is invariant under a global flip, so by default the first
-    variable is pinned to +1.  Half-integer coefficient families are
-    accumulated in exact integers (scaled by 2); ties are broken by the
-    first maximizer in Gray-code order.
+    The form is invariant under a global flip, so the first variable is
+    pinned to +1.  Half-integer coefficient families are accumulated in
+    exact integers (scaled by 2); ties are broken by the first maximizer
+    in Gray-code order.
     """
     best, arg, evals = enumeration.max_over_signs(
-        ineq.variable_count,
-        ineq.engine_pairs(),
-        guard=guard,
-        fold_symmetry=fold_symmetry,
-        use_exact=use_exact,
+        ineq.variable_count, ineq.engine_pairs(), guard=guard
     )
     return ClassicalBoundResult(
         max_value=best, argmax=SignAssignment(arg), evaluations=evals
@@ -215,20 +204,26 @@ def classical_bound(
 # clique-web family to its usual 0/1 shape with rhs 0.
 
 
-@dataclass
+@dataclass(frozen=True)
 class CutInequality:
-    """sum of c_ij * (a_i xor a_j) <= rhs over 0/1 assignments."""
+    """sum of c_ij * (a_i xor a_j) <= rhs over 0/1 assignments; immutable."""
 
     n: int
-    coefficients: dict[tuple[int, int], float] = field(default_factory=dict)
+    coefficients: Mapping[tuple[int, int], float] = field(default_factory=dict)
     rhs: float = 0.0
+    _pairs: tuple[tuple[int, int, float], ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.n < 1:
             raise DimensionError("need at least one variable")
-        for i, j in self.coefficients:
-            if not (0 <= i < j < self.n):
-                raise DimensionError(f"bad pair ({i}, {j}) for {self.n} variables")
+        _freeze_coefficients(self, self.n, 0)
+
+    def __reduce__(self):
+        return type(self), (self.n, dict(self.coefficients), self.rhs)
+
+    def engine_pairs(self) -> tuple[tuple[int, int, float], ...]:
+        """(i, j, weight) triples sorted by pair."""
+        return self._pairs
 
 
 def evaluate_cut(ineq: CutInequality, assignment: Iterable[int]) -> float:
@@ -237,7 +232,7 @@ def evaluate_cut(ineq: CutInequality, assignment: Iterable[int]) -> float:
         raise DimensionError(f"expected {ineq.n} bits, got {len(bits)}")
     if not all(b in (0, 1) for b in bits):
         raise ParameterError("cut assignments take values 0 or 1")
-    return sum(w * (bits[i] ^ bits[j]) for (i, j), w in ineq.coefficients.items())
+    return sum(w * (bits[i] ^ bits[j]) for i, j, w in ineq.engine_pairs())
 
 
 def to_cut_form(ineq: PairwiseInequality) -> CutInequality:
@@ -316,5 +311,22 @@ def collapse_bipartite(ineq: PairwiseInequality) -> PairwiseInequality:
     )
 
 
-def _finite(x: float) -> bool:
-    return x == x and abs(x) != float("inf")
+def _freeze_coefficients(ineq, n_left: int, n_right: int) -> None:
+    """Validate ineq's pairs and values, freeze them, and cache its triples.
+
+    n_right == 0 means one block: keys (i, j) with 0 <= i < j < n_left.
+    Otherwise keys (i, j) pair X_i with Y_j, and Y_j becomes joint
+    variable n_left + j.
+    """
+    coefficients = MappingProxyType(dict(ineq.coefficients))
+    for i, j in coefficients:
+        if n_right == 0 and not 0 <= i < j < n_left:
+            raise DimensionError(f"bad pair ({i}, {j}) for {n_left} variables")
+        if n_right and not (0 <= i < n_left and 0 <= j < n_right):
+            raise DimensionError(f"bad bipartite pair ({i}, {j}) for {n_left}x{n_right}")
+    if not math.isfinite(ineq.rhs) or not all(math.isfinite(v) for v in coefficients.values()):
+        raise ParameterError("coefficients and rhs must be finite")
+    offset = n_left if n_right else 0
+    triples = sorted((i, offset + j, w) for (i, j), w in coefficients.items())
+    object.__setattr__(ineq, "coefficients", coefficients)
+    object.__setattr__(ineq, "_pairs", tuple(triples))

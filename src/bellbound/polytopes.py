@@ -30,12 +30,8 @@ from fractions import Fraction
 import numpy as np
 
 from .errors import ConvergenceError, DimensionError, ParameterError, ResourceLimitError
-from .inequalities import (
-    MODE_BIPARTITE,
-    MODE_COMPLETE,
-    CutInequality,
-    PairwiseInequality,
-)
+from .errors import finite_array
+from .inequalities import MODE_COMPLETE, CutInequality, PairwiseInequality
 
 KIND_BELL = "bell"
 KIND_BELL_BIPARTITE = "bell_bipartite"
@@ -195,7 +191,10 @@ def _project_to_hull(point: np.ndarray, verts: np.ndarray, cap: int):
 
     Maintains a corral of vertices and its convex weights; each major
     cycle adds the vertex most extreme in the direction of the residual
-    and minor cycles restore feasibility of the affine minimizer.
+    and minor cycles restore feasibility of the affine minimizer.  The
+    projection is optimal when the duality gap is closed, or when the
+    extreme vertex is already in the corral: the corral's minimizer
+    cannot move then, whatever rounding leaves in the gap.
     Returns (projection, iterations).
     """
     distances = ((verts - point) ** 2).sum(axis=1)
@@ -208,11 +207,10 @@ def _project_to_hull(point: np.ndarray, verts: np.ndarray, cap: int):
         g = point - x
         scores = verts @ g
         candidate = int(np.argmax(scores))
-        if scores[candidate] <= g @ x + eps:
+        if scores[candidate] <= g @ x + eps or candidate in corral:
             return x, iteration
-        if candidate not in corral:
-            corral.append(candidate)
-            weights = np.append(weights, 0.0)
+        corral.append(candidate)
+        weights = np.append(weights, 0.0)
         while True:
             affine = _affine_least_squares(verts[corral].astype(float), point)
             if (affine >= -1e-14).all():
@@ -251,7 +249,7 @@ def membership(
     the certificate is checked against the whole vertex set rather than
     trusted from the projection.
     """
-    point = np.asarray(point, dtype=float)
+    point = finite_array(point, "point")
     if point.shape != (spec.ambient_dim,):
         raise DimensionError(
             f"point has shape {point.shape}, ambient dimension is {spec.ambient_dim}"
@@ -307,25 +305,16 @@ def ambient_coefficients(
 ) -> tuple[np.ndarray, float]:
     """Spread an inequality's coefficients over the polytope coordinates."""
     if isinstance(ineq, CutInequality):
-        if spec.kind != KIND_CUT or spec.n != ineq.n:
-            raise DimensionError("cut inequality does not match this polytope")
-        coeffs = ineq.coefficients
+        shape = (KIND_CUT, ineq.n, 0)
     elif ineq.mode == MODE_COMPLETE:
-        if spec.kind != KIND_BELL or spec.n != ineq.n_left:
-            raise DimensionError("complete-mode inequality does not match this polytope")
-        coeffs = ineq.coefficients
-    elif ineq.mode == MODE_BIPARTITE:
-        if spec.kind != KIND_BELL_BIPARTITE or (spec.n, spec.m) != (
-            ineq.n_left,
-            ineq.n_right,
-        ):
-            raise DimensionError("bipartite inequality does not match this polytope")
-        coeffs = ineq.coefficients
+        shape = (KIND_BELL, ineq.n_left, 0)
     else:
-        raise ParameterError(f"unsupported inequality mode {ineq.mode!r}")
+        shape = (KIND_BELL_BIPARTITE, ineq.n_left, ineq.n_right)
+    if (spec.kind, spec.n, spec.m) != shape:
+        raise DimensionError(f"inequality needs polytope {shape}, got {(spec.kind, spec.n, spec.m)}")
     vector = np.zeros(spec.ambient_dim)
     index = {pair: k for k, pair in enumerate(spec.coordinate_pairs())}
-    for pair, w in coeffs.items():
+    for pair, w in ineq.coefficients.items():
         vector[index[pair]] = w
     return vector, float(ineq.rhs)
 
@@ -367,7 +356,9 @@ def facet_check(
     validity and the tight set are decided exactly, and the affine rank
     of the tight vertices decides whether the face has codimension one.
     """
-    coefficients = np.asarray(coefficients, dtype=float)
+    coefficients = finite_array(coefficients, "coefficients")
+    if not math.isfinite(rhs):
+        raise ParameterError(f"rhs must be finite, got {rhs}")
     if coefficients.shape != (spec.ambient_dim,):
         raise DimensionError(
             f"coefficient vector has shape {coefficients.shape}, "

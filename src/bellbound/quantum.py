@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionError, ParameterError
+from .errors import DimensionError, ParameterError, finite_array
 from .inequalities import MODE_COMPLETE, PairwiseInequality
 
 UNIT_NORM_TOL = 1e-12
@@ -29,7 +29,7 @@ class UnitVectorConfig:
     vectors: np.ndarray
 
     def __post_init__(self):
-        arr = np.asarray(self.vectors, dtype=float)
+        arr = finite_array(self.vectors, "vectors")
         if arr.ndim != 2 or arr.shape[0] < 1 or arr.shape[1] < 1:
             raise DimensionError("expected a nonempty (n, dim) array of vectors")
         norms = np.linalg.norm(arr, axis=1)
@@ -54,7 +54,7 @@ class UnitVectorConfig:
     @classmethod
     def from_json_dict(cls, data: dict) -> "UnitVectorConfig":
         try:
-            return cls(vectors=np.asarray(data["vectors"], dtype=float))
+            return cls(vectors=data["vectors"])
         except KeyError as exc:
             raise ParameterError(f"vector JSON is missing field {exc}") from exc
 

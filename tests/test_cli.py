@@ -295,6 +295,45 @@ def test_guard_env_override(capsys, monkeypatch):
     assert json.loads(out)["max_value"] == 15.0
 
 
+BAD_VALUE_INEQ = json.dumps(
+    {"mode": "complete", "n_left": 2, "n_right": 0, "rhs": 1.0,
+     "coefficients": [{"i": 0, "j": 1, "value": "x"}]}
+)
+
+
+@pytest.mark.parametrize(
+    "guard_env, argv, expected",
+    [
+        ("abc", ["classical-bound", "--ineq", "chsh"], 2),
+        (None, ["qvalue", "--ineq", "triangle", "--vectors", RING3, "--transported"], 2),
+        (None, ["tsirelson", "--vectors", CHSH_VECTORS, "--report", "json"], 2),
+        (None, ["classical-bound", "--ineq", "[1, 2]"], 1),
+        (None, ["classical-bound", "--ineq", BAD_VALUE_INEQ], 1),
+        (None, ["qvalue", "--ineq", "triangle", "--vectors", "[[1, 0], [0], [0, 1]]"], 1),
+        (None, ["qvalue", "--ineq", "triangle", "--vectors", "[[1, 0], [NaN, 0], [0, 1]]"], 1),
+        (None, ["member", "--polytope", "bell3", "--point", '["a", 0, 0]'], 1),
+        (None, ["member", "--polytope", "bell3", "--point", "[NaN, 0, 0]"], 1),
+    ],
+)
+def test_bad_input_exits_without_traceback(capsys, monkeypatch, guard_env, argv, expected):
+    if guard_env is None:
+        monkeypatch.delenv("BELLBOUND_GUARD", raising=False)
+    else:
+        monkeypatch.setenv("BELLBOUND_GUARD", guard_env)
+    try:
+        code = main(argv)
+    except SystemExit as exc:
+        code = exc.code
+    captured = capsys.readouterr()
+    assert code == expected
+    assert captured.out == ""
+    assert "Traceback" not in captured.err
+    if expected == 1:
+        assert set(json.loads(captured.err)) == {"error", "message"}
+    else:
+        assert "usage:" in captured.err
+
+
 def test_ineq_from_file(capsys, tmp_path):
     path = tmp_path / "ineq.json"
     path.write_text(clique_web_inequality(WebSpec(5, 2, 1)).to_json())

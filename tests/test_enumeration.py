@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from bellbound import ParameterError, ResourceLimitError, max_over_signs, min_over_signs
-from bellbound.enumeration import gray_flip_sequence
+from bellbound.enumeration import _as_exact_weights, gray_flip_sequence
 
 SEED = 20260818
 
@@ -53,23 +53,24 @@ def test_max_matches_brute_force(n):
 
 
 def test_fold_symmetry_matches_full_enumeration():
+    # X_0 is pinned to +1, so half the cube is walked; the optimum must
+    # still be the one found over the whole cube.
     rng = np.random.default_rng(SEED)
     for n in (3, 5, 7):
         pairs = _random_pairs(rng, n)
-        folded = max_over_signs(n, pairs, fold_symmetry=True)
-        full = max_over_signs(n, pairs, fold_symmetry=False)
-        assert folded[0] == pytest.approx(full[0], abs=1e-12)
-        assert folded[2] * 2 == full[2]
+        folded = max_over_signs(n, pairs)
+        assert folded[0] == pytest.approx(_brute_max(n, pairs)[0], abs=1e-12)
+        assert folded[2] == 2 ** (n - 1)
         assert folded[1][0] == 1
 
 
 def test_exact_path_agrees_with_float_path():
-    # Half-integer weights take the scaled integer route; forcing the
-    # float route must give the same optimum.
+    # Half-integer weights take the scaled integer route; the float
+    # brute force must give the same optimum.
     pairs = [(0, 1, 0.5), (0, 2, 0.5), (1, 3, 0.5), (2, 3, -0.5), (1, 2, -1.0)]
-    exact = max_over_signs(4, pairs, use_exact=True)
-    floated = max_over_signs(4, pairs, use_exact=False)
-    assert exact[0] == floated[0]
+    assert _as_exact_weights(pairs) is not None
+    exact = max_over_signs(4, pairs)
+    assert exact[0] == _brute_max(4, pairs)[0]
     assert isinstance(exact[0], float)
 
 

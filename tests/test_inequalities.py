@@ -1,13 +1,17 @@
 """Inequality objects, evaluation, exact bounds, and form conversions."""
 
+import copy
+import dataclasses
 import itertools
 import json
+import pickle
 
 import pytest
 
 from bellbound import (
     MODE_BIPARTITE,
     MODE_COMPLETE,
+    CutInequality,
     DimensionError,
     PairwiseInequality,
     ParameterError,
@@ -83,6 +87,46 @@ def test_inequality_validation():
         PairwiseInequality(MODE_COMPLETE, 3, 0, {(0, 1): float("inf")}, 1.0)
 
 
+def test_inequalities_are_immutable():
+    ineq = triangle()
+    with pytest.raises(TypeError):
+        ineq.coefficients[(2, 0)] = 5.0
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        ineq.rhs = 2.0
+    cut = to_cut_form(ineq)
+    with pytest.raises(TypeError):
+        cut.coefficients[(0, 1)] = 5.0
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        cut.n = 4
+    # the mapping passed in is copied, so later changes to it do not leak in
+    source = {(0, 1): -1.0}
+    frozen = PairwiseInequality(MODE_COMPLETE, 2, 0, source, 1.0)
+    source[(0, 1)] = 5.0
+    assert frozen.coefficients == {(0, 1): -1.0}
+    assert frozen.engine_pairs() == ((0, 1, -1.0),)
+    for ineq in (chsh(), to_cut_form(triangle())):
+        assert pickle.loads(pickle.dumps(ineq)) == ineq
+        assert copy.deepcopy(ineq) == ineq
+
+
+def test_replace_builds_a_validated_copy():
+    with pytest.raises(DimensionError):
+        dataclasses.replace(triangle(), coefficients={(2, 0): 5.0})
+    base = triangle()
+    halved = dataclasses.replace(base, coefficients={(1, 2): -0.5, (0, 1): -0.5}, rhs=0.5)
+    assert halved.engine_pairs() == ((0, 1, -0.5), (1, 2, -0.5))
+    assert base == triangle()
+
+
+def test_cut_inequality_validation():
+    with pytest.raises(DimensionError):
+        CutInequality(3, {(1, 0): 1.0}, 0.0)
+    with pytest.raises(ParameterError):
+        CutInequality(3, {(0, 1): float("nan")}, 0.0)
+    with pytest.raises(ParameterError):
+        CutInequality(3, {(0, 1): 1.0}, float("inf"))
+
+
 def test_engine_pairs_offsets_bipartite_columns():
     pairs = sorted(chsh().engine_pairs())
     assert pairs == [(0, 2, 0.5), (0, 3, 0.5), (1, 2, 0.5), (1, 3, -0.5)]
@@ -92,6 +136,10 @@ def test_json_round_trip():
     for ineq in (chsh(), triangle(), clique_web_inequality(WebSpec(5, 2, 1))):
         again = PairwiseInequality.from_json_dict(json.loads(ineq.to_json()))
         assert again == ineq
+    assert triangle().to_json(indent=None) == (
+        '{"coefficients": [{"i": 0, "j": 1, "value": -1.0}, {"i": 0, "j": 2, "value": -1.0}, '
+        '{"i": 1, "j": 2, "value": -1.0}], "mode": "complete", "n_left": 3, "n_right": 0, "rhs": 1.0}'
+    )
 
 
 def test_cut_form_identity_on_all_assignments():

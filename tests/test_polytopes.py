@@ -126,9 +126,30 @@ def test_certificate_json_shape():
     assert set(outside["separating"]) == {"normal", "offset"}
 
 
+def test_projection_stops_when_extreme_vertex_is_in_corral():
+    # The duality gap of this outside point settles just above the 1e-12
+    # cutoff with the extreme vertex already in the corral; the projection
+    # used to spin there until the iteration cap.
+    spec = PolytopeSpec.bell(10)
+    point = np.random.default_rng(0).normal(size=45) * 2
+    cert = membership(spec, point)
+    assert not cert.inside
+    assert round(cert.distance, 6) == 8.990436
+    assert cert.iterations <= 10
+    normal, offset = cert.separating.normal, cert.separating.offset
+    assert normal @ point > offset
+    assert (vertices(spec) @ normal <= offset + 1e-12).all()
+
+
 def test_membership_dimension_check():
     with pytest.raises(DimensionError):
         membership(PolytopeSpec.bell(3), np.zeros(4))
+
+
+@pytest.mark.parametrize("point", [[float("nan"), 0.0, 0.0], [0.0, float("inf"), 0.0], ["a", 0, 0]])
+def test_membership_rejects_non_finite_or_non_numeric_points(point):
+    with pytest.raises(ParameterError):
+        membership(PolytopeSpec.bell(3), point)
 
 
 def test_ambient_coefficients():
@@ -180,6 +201,14 @@ def test_invalid_inequality_detected():
 def test_facet_check_dimension_guard():
     with pytest.raises(DimensionError):
         facet_check(PolytopeSpec.bell(3), np.zeros(4), 1.0)
+
+
+def test_facet_check_rejects_non_finite_input():
+    spec = PolytopeSpec.bell(3)
+    with pytest.raises(ParameterError):
+        facet_check(spec, np.array([1.0, float("nan"), 0.0]), 1.0)
+    with pytest.raises(ParameterError):
+        facet_check(spec, np.array([1.0, 0.0, 0.0]), float("inf"))
 
 
 def test_cut_bell_maps_inverse():

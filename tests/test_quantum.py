@@ -37,6 +37,10 @@ def test_config_validation_and_gram():
         UnitVectorConfig(np.array([[1.0, 1.0]]))
     with pytest.raises(DimensionError):
         UnitVectorConfig(np.array([1.0, 0.0]))
+    with pytest.raises(ParameterError):
+        UnitVectorConfig(np.array([[1.0, 0.0], [float("nan"), 0.0]]))
+    with pytest.raises(ParameterError):
+        UnitVectorConfig([[1.0, 0.0], [0.0]])
 
 
 def test_config_json_round_trip():
