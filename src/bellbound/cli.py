@@ -34,7 +34,13 @@ from .inequalities import (
 )
 from .noise import noise_quantity, noisy_violation, partitioned_threshold
 from .optimize import FAMILY_BOUQUET12, FAMILY_BOUQUET2K1, gram_ascent, scan_theta
-from .polytopes import PolytopeSpec, ambient_coefficients, facet_check, membership
+from .polytopes import (
+    VERTEX_GUARD,
+    PolytopeSpec,
+    ambient_coefficients,
+    facet_check,
+    membership,
+)
 from .quantum import UnitVectorConfig, bouquet, quantum_value
 from .reproduce import run_claims
 from .tsirelson import realize, verify_realization
@@ -423,8 +429,11 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument(
         "--guard",
         type=int,
-        default=os.environ.get("BELLBOUND_GUARD", str(DEFAULT_GUARD)),
-        help="enumeration size guard (env BELLBOUND_GUARD overrides the default)",
+        default=os.environ.get("BELLBOUND_GUARD"),
+        help=(
+            f"variables allowed before a computation is refused (default {DEFAULT_GUARD}, "
+            f"{VERTEX_GUARD} for member and facet-check; env BELLBOUND_GUARD overrides)"
+        ),
     )
 
     parser = argparse.ArgumentParser(
@@ -471,7 +480,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("member", parents=[common], help="polytope membership certificate")
     p.add_argument("--polytope", required=True, help="bell3, bell22, cut4, cor3, bell:N,M")
     p.add_argument("--point", required=True, help="JSON array file or string")
-    p.set_defaults(fn=_cmd_member)
+    p.set_defaults(fn=_cmd_member, default_guard=VERTEX_GUARD)
 
     p = sub.add_parser("facet-check", parents=[common], help="exact validity and facet test")
     p.add_argument("--polytope", required=True)
@@ -481,7 +490,7 @@ def build_parser() -> argparse.ArgumentParser:
         action="store_true",
         help="convert a complete-mode inequality to its 0/1 cut form first",
     )
-    p.set_defaults(fn=_cmd_facet_check)
+    p.set_defaults(fn=_cmd_facet_check, default_guard=VERTEX_GUARD)
 
     p = sub.add_parser("tsirelson", parents=[common], help="operator realization report")
     p.add_argument("--vectors", required=True)
@@ -528,6 +537,9 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
+    if args.guard is None:
+        # geometry subcommands build whole vertex tables, so their default is smaller
+        args.guard = getattr(args, "default_guard", DEFAULT_GUARD)
     try:
         return args.fn(args)
     except BellboundError as exc:

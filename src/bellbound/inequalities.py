@@ -110,10 +110,12 @@ class PairwiseInequality:
     def from_json_dict(cls, data: dict) -> "PairwiseInequality":
         try:
             coeffs = {
-                (int(c["i"]), int(c["j"])): float(c["value"])
+                (_json_int(c["i"], "i"), _json_int(c["j"], "j")): float(c["value"])
                 for c in data["coefficients"]
             }
-            mode, n_left, n_right = str(data["mode"]), int(data["n_left"]), int(data["n_right"])
+            mode = str(data["mode"])
+            n_left = _json_int(data["n_left"], "n_left")
+            n_right = _json_int(data["n_right"], "n_right")
             rhs = float(data["rhs"])
         except KeyError as exc:
             raise ParameterError(f"inequality JSON is missing field {exc}") from exc
@@ -309,6 +311,15 @@ def collapse_bipartite(ineq: PairwiseInequality) -> PairwiseInequality:
         coefficients=merged,
         rhs=ineq.rhs - diagonal,
     )
+
+
+def _json_int(value, what: str) -> int:
+    """A JSON index or size as an int; booleans and fractions are refused, not truncated."""
+    if isinstance(value, int) and not isinstance(value, bool):
+        return value
+    if isinstance(value, float) and value.is_integer():
+        return int(value)
+    raise ParameterError(f"{what} must be an integer, got {value!r}")
 
 
 def _freeze_coefficients(ineq, n_left: int, n_right: int) -> None:

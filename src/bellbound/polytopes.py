@@ -13,15 +13,19 @@ min-norm-point algorithm (a support-oracle method: each iteration only
 asks which vertex is extreme in a direction); outside points get a
 separating hyperplane that is verified against every vertex before the
 certificate is returned.  Facet checks are exact: coefficients are
-rationalized, validity and tightness are decided in integer arithmetic,
-and the affine rank of the tight set is computed by fraction-free
-elimination.  Bipartite cut and correlation variants are not provided;
-nothing downstream consumes them.
+rationalized and scaled to integers, the values on all vertices are one
+int64 matrix product, and the affine rank of the tight set comes from a
+vectorized fraction-free elimination in int64.  Vertex entries are in
+{-1, 0, 1}, so the products stay in int64 while sum |c| < 2^62; past
+that, and whenever elimination entries reach 2^31, the same code runs on
+Python integers (object dtype), so no answer depends on a word size.
+Vertex tables are built by broadcasting over the bits of 0..2^k - 1 in
+int8 and returned as int64.  Bipartite cut and correlation variants are
+not provided; nothing downstream consumes them.
 """
 
 from __future__ import annotations
 
-import itertools
 import json
 import math
 from dataclasses import dataclass
@@ -97,12 +101,14 @@ class PolytopeSpec:
 
 
 def vertices(spec: PolytopeSpec, guard: int = VERTEX_GUARD) -> np.ndarray:
-    """All vertices as an integer array, one row per vertex.
+    """All vertices as an int64 array, one row per vertex.
 
     Sign polytopes are deduplicated by pinning the first variable
     (global flips fix every product), the cut polytope by pinning the
     first bit (complements give the same cut); cor keeps all 2^n
-    assignments since the diagonal separates them.
+    assignments since the diagonal separates them.  Rows run through
+    the free variables in lexicographic order, +1 before -1 and 0
+    before 1, the most significant variable first.
     """
     total = spec.n + spec.m if spec.kind == KIND_BELL_BIPARTITE else spec.n
     if total > guard:
@@ -110,25 +116,22 @@ def vertices(spec: PolytopeSpec, guard: int = VERTEX_GUARD) -> np.ndarray:
             f"{total} variables exceeds the guard of {guard}; "
             "raise the guard explicitly for a deliberate larger run"
         )
-    pairs = spec.coordinate_pairs()
-    rows = []
-    if spec.kind == KIND_BELL:
-        for bits in itertools.product([1, -1], repeat=spec.n - 1):
-            x = (1,) + bits
-            rows.append([x[i] * x[j] for i, j in pairs])
-    elif spec.kind == KIND_BELL_BIPARTITE:
-        for bits in itertools.product([1, -1], repeat=spec.n + spec.m - 1):
-            x = (1,) + bits[: spec.n - 1]
-            y = bits[spec.n - 1 :]
-            rows.append([x[i] * y[j] for i, j in pairs])
-    elif spec.kind == KIND_CUT:
-        for bits in itertools.product([0, 1], repeat=spec.n - 1):
-            a = (0,) + bits
-            rows.append([a[i] ^ a[j] for i, j in pairs])
+    free = total if spec.kind == KIND_COR else total - 1
+    codes = np.arange(2**free)
+    bits = np.zeros((codes.size, total), dtype=np.int8)
+    for k in range(free):
+        bits[:, total - free + k] = (codes >> (free - 1 - k)) & 1
+    left, right = np.array(spec.coordinate_pairs()).T
+    if spec.kind == KIND_BELL_BIPARTITE:
+        right = right + spec.n
+    if spec.kind == KIND_CUT:
+        table = bits[:, left] ^ bits[:, right]
+    elif spec.kind == KIND_COR:
+        table = bits[:, left] * bits[:, right]
     else:
-        for b in itertools.product([0, 1], repeat=spec.n):
-            rows.append([b[i] * b[j] for i, j in pairs])
-    return np.array(rows, dtype=np.int64)
+        signs = 1 - 2 * bits
+        table = signs[:, left] * signs[:, right]
+    return table.astype(np.int64)
 
 
 # ============================================================================
@@ -319,28 +322,37 @@ def ambient_coefficients(
     return vector, float(ineq.rhs)
 
 
-def _integer_rank(rows: list[list[int]], stop_at: int) -> int:
-    """Exact rank of integer rows by fraction-free elimination."""
-    basis: list[tuple[int, list[int]]] = []
-    for row in rows:
-        row = list(row)
-        for pivot_col, pivot_row in basis:
-            if row[pivot_col] != 0:
-                p = pivot_row[pivot_col]
-                f = row[pivot_col]
-                row = [p * a - f * b for a, b in zip(row, pivot_row)]
-                g = 0
-                for a in row:
-                    g = math.gcd(g, a)
-                if g > 1:
-                    row = [a // g for a in row]
-        lead = next((c for c, a in enumerate(row) if a != 0), None)
-        if lead is not None:
-            basis.append((lead, row))
-            basis.sort(key=lambda t: t[0])
-            if len(basis) >= stop_at:
-                break
-    return len(basis)
+def _integer_rank(matrix: np.ndarray) -> int:
+    """Exact rank of an integer matrix by fraction-free elimination.
+
+    Each step takes the smallest nonzero entry of the next column among
+    the rows not yet used as its pivot, clears that column from every
+    other such row at once (p * row - f * pivot) and divides each row by
+    the gcd of its entries.  Entries of 2^31 or more could overflow
+    int64 in those products, so the working matrix then turns into
+    Python integers (object dtype) and the same steps continue exactly.
+    """
+    work = np.array(matrix, dtype=np.int64)
+    rank = 0
+    for col in range(work.shape[1]):
+        if rank == work.shape[0]:
+            break
+        if work.dtype != object and np.abs(work[rank:]).max() >= 2**31:
+            work = work.astype(object)
+        column = np.abs(work[rank:, col])
+        nonzero = np.flatnonzero(column)
+        if nonzero.size == 0:
+            continue
+        pivot = rank + nonzero[np.argmin(column[nonzero])]
+        work[[rank, pivot]] = work[[pivot, rank]]
+        below = rank + 1 + np.flatnonzero(work[rank + 1 :, col])
+        if below.size:
+            rows = work[rank, col] * work[below] - work[below, col][:, None] * work[rank]
+            divisor = np.gcd.reduce(rows, axis=1)
+            divisor[divisor == 0] = 1
+            work[below] = rows // divisor[:, None]
+        rank += 1
+    return rank
 
 
 def facet_check(
@@ -372,17 +384,17 @@ def facet_check(
     ints = [int(f * scale) for f in fractions]
     rhs_int = int(rhs_fraction * scale)
 
+    # Vertex entries lie in {-1, 0, 1}, so sum |c| bounds every value.
+    fits = sum(abs(c) for c in ints) < 2**62
     verts = vertices(spec, guard=guard)
-    values = [sum(c * int(v) for c, v in zip(ints, row)) for row in verts.tolist()]
-    valid = all(v <= rhs_int for v in values)
-    tight = [row for row, v in zip(verts.tolist(), values) if v == rhs_int]
-    if not tight:
+    values = verts @ np.array(ints, dtype=np.int64 if fits else object)
+    valid = bool((values <= rhs_int).all())
+    tight = verts[values == rhs_int]
+    if len(tight) == 0:
         return FacetReport(
             valid=valid, tight_count=0, affine_rank=-1, ambient_dim=spec.ambient_dim
         )
-    base = tight[0]
-    diffs = [[a - b for a, b in zip(row, base)] for row in tight[1:]]
-    rank = _integer_rank(diffs, stop_at=spec.ambient_dim)
+    rank = _integer_rank(tight[1:] - tight[0])
     return FacetReport(
         valid=valid,
         tight_count=len(tight),

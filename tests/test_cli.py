@@ -301,6 +301,44 @@ BAD_VALUE_INEQ = json.dumps(
 )
 
 
+def _ineq_json(n_left=3, i=0, j=1):
+    return json.dumps(
+        {"mode": "complete", "n_left": n_left, "n_right": 0, "rhs": 1,
+         "coefficients": [{"i": i, "j": j, "value": 1}]}
+    )
+
+
+@pytest.mark.parametrize(
+    "oversized, small",
+    [
+        (["member", "--polytope", "bell:17", "--point", json.dumps([0.0] * 136)],
+         ["member", "--polytope", "bell3", "--point", "[0, 0, 0]"]),
+        (["facet-check", "--polytope", "bell:17", "--ineq", _ineq_json(n_left=17)],
+         ["facet-check", "--polytope", "bell3", "--ineq", _ineq_json()]),
+    ],
+    ids=["member", "facet-check"],
+)
+def test_geometry_commands_default_to_the_vertex_guard(capsys, monkeypatch, oversized, small):
+    # Vertex tables are built whole, so member and facet-check refuse 17
+    # variables at the API's guard of 16 before building anything, where
+    # the enumeration commands allow 24.
+    monkeypatch.delenv("BELLBOUND_GUARD", raising=False)
+    code, out, err = run(capsys, oversized)
+    assert code == 1
+    assert out == ""
+    payload = json.loads(err)
+    assert payload["error"] == "ResourceLimitError"
+    assert "guard of 16" in payload["message"]
+    # an explicit guard, by flag or environment, still wins
+    code, _, err = run(capsys, small + ["--guard", "2"])
+    assert code == 1
+    assert "guard of 2" in json.loads(err)["message"]
+    monkeypatch.setenv("BELLBOUND_GUARD", "2")
+    code, _, err = run(capsys, small)
+    assert code == 1
+    assert "guard of 2" in json.loads(err)["message"]
+
+
 @pytest.mark.parametrize(
     "guard_env, argv, expected",
     [
@@ -313,6 +351,10 @@ BAD_VALUE_INEQ = json.dumps(
         (None, ["qvalue", "--ineq", "triangle", "--vectors", "[[1, 0], [NaN, 0], [0, 1]]"], 1),
         (None, ["member", "--polytope", "bell3", "--point", '["a", 0, 0]'], 1),
         (None, ["member", "--polytope", "bell3", "--point", "[NaN, 0, 0]"], 1),
+        (None, ["classical-bound", "--ineq", _ineq_json(j=1.5)], 1),
+        (None, ["classical-bound", "--ineq", _ineq_json(n_left=3.7)], 1),
+        (None, ["classical-bound", "--ineq", _ineq_json(i=True, j=2)], 1),
+        (None, ["classical-bound", "--ineq", _ineq_json(j="1")], 1),
     ],
 )
 def test_bad_input_exits_without_traceback(capsys, monkeypatch, guard_env, argv, expected):

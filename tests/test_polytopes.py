@@ -1,6 +1,8 @@
 """Correlation polytopes: vertices, membership, facets, coordinate maps."""
 
+import itertools
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -20,6 +22,7 @@ from bellbound import (
     triangle,
     vertices,
 )
+from bellbound.polytopes import _integer_rank
 
 SQRT2 = math.sqrt(2.0)
 
@@ -65,6 +68,44 @@ def test_vertex_counts_and_values():
         assert verts.shape == (count, spec.ambient_dim)
         assert set(np.unique(verts)) <= values
         assert len({tuple(row) for row in verts.tolist()}) == count
+
+
+def _reference_vertices(spec):
+    """The vertex table built one assignment at a time, in itertools order."""
+    pairs = spec.coordinate_pairs()
+    rows = []
+    if spec.kind == "bell":
+        for bits in itertools.product([1, -1], repeat=spec.n - 1):
+            x = (1,) + bits
+            rows.append([x[i] * x[j] for i, j in pairs])
+    elif spec.kind == "bell_bipartite":
+        for bits in itertools.product([1, -1], repeat=spec.n + spec.m - 1):
+            x, y = (1,) + bits[: spec.n - 1], bits[spec.n - 1 :]
+            rows.append([x[i] * y[j] for i, j in pairs])
+    elif spec.kind == "cut":
+        for bits in itertools.product([0, 1], repeat=spec.n - 1):
+            a = (0,) + bits
+            rows.append([a[i] ^ a[j] for i, j in pairs])
+    else:
+        for b in itertools.product([0, 1], repeat=spec.n):
+            rows.append([b[i] * b[j] for i, j in pairs])
+    return np.array(rows, dtype=np.int64)
+
+
+REFERENCE_SPECS = (
+    [PolytopeSpec.bell(n) for n in range(2, 9)]
+    + [PolytopeSpec.cut(n) for n in range(2, 9)]
+    + [PolytopeSpec.cor(n) for n in range(2, 8)]
+    + [PolytopeSpec.bell_bipartite(n, m) for n in range(1, 5) for m in range(1, 5)]
+)
+
+
+@pytest.mark.parametrize("spec", REFERENCE_SPECS, ids=str)
+def test_vertices_match_itertools_reference(spec):
+    verts, reference = vertices(spec), _reference_vertices(spec)
+    assert verts.dtype == np.int64
+    assert verts.shape == reference.shape
+    assert (verts == reference).all()
 
 
 def test_vertex_guard():
@@ -243,3 +284,81 @@ def test_bell_embed_preserves_exclusion():
     cert = membership(PolytopeSpec.bell_bipartite(3, 3), bell_embed(point, 3))
     assert not cert.inside
     assert cert.distance == pytest.approx(0.3692744729, abs=1e-7)
+
+
+def _fraction_rank(rows):
+    """Rank by Gaussian elimination over the rationals."""
+    rows = [[Fraction(int(a)) for a in row] for row in rows]
+    rank = 0
+    for col in range(len(rows[0]) if rows else 0):
+        pivot = next((r for r in range(rank, len(rows)) if rows[r][col] != 0), None)
+        if pivot is None:
+            continue
+        rows[rank], rows[pivot] = rows[pivot], rows[rank]
+        for r in range(rank + 1, len(rows)):
+            f = rows[r][col] / rows[rank][col]
+            rows[r] = [a - f * b for a, b in zip(rows[r], rows[rank])]
+        rank += 1
+    return rank
+
+
+def _reference_facet_facts(spec, coefficients, rhs):
+    """(valid, tight_count, affine_rank) with every value an exact Fraction."""
+    c = [Fraction(float(a)) for a in coefficients]
+    bound = Fraction(float(rhs))
+    verts = _reference_vertices(spec).tolist()
+    values = [sum(a * v for a, v in zip(c, row)) for row in verts]
+    tight = [row for row, value in zip(verts, values) if value == bound]
+    rank = _fraction_rank([[a - b for a, b in zip(row, tight[0])] for row in tight[1:]])
+    return all(v <= bound for v in values), len(tight), rank if tight else -1
+
+
+@pytest.mark.parametrize("scale", [1.0, 2.0**40, 2.0**70])
+def test_facet_check_matches_fraction_reference(scale):
+    # Vertex entries are in {-1, 0, 1}, so sum |c| bounds every value; at
+    # 2**70 it passes 2**62 and the values are Python integers (object dtype).
+    rng = np.random.default_rng(31)
+    specs = [PolytopeSpec.bell(5), PolytopeSpec.bell_bipartite(2, 3), PolytopeSpec.cut(5),
+             PolytopeSpec.cor(4)]
+    for trial in range(24):
+        spec = specs[trial % len(specs)]
+        coefficients = rng.integers(-4, 5, size=spec.ambient_dim) / 4.0 * scale
+        values = _reference_vertices(spec) @ coefficients
+        # a supporting face, an invalid bound, or the value at a random vertex
+        rhs = [values.max(), values.max() - 0.25 * scale, rng.choice(values)][trial % 3]
+        report = facet_check(spec, coefficients, float(rhs))
+        got = (report.valid, report.tight_count, report.affine_rank)
+        assert got == _reference_facet_facts(spec, coefficients, rhs), (spec, trial)
+
+
+def test_facet_check_mixed_scales_stay_exact():
+    # 2**-70 next to 2**70: the common denominator makes the integer
+    # coefficients about 2**140, and the tiny term still decides the face,
+    # which float arithmetic (2**70 + 2**-70 == 2**70) would not.
+    spec = PolytopeSpec.bell(3)
+    big, tiny = 2.0**70, 2.0**-70
+    report = facet_check(spec, np.array([big, tiny, 0.0]), big)
+    assert (report.valid, report.tight_count) == (False, 0)
+    report = facet_check(spec, np.array([big, tiny, -tiny]), big)
+    assert (report.valid, report.tight_count, report.affine_rank) == (True, 2, 1)
+
+
+@pytest.mark.parametrize("high", [2, 1000, 2**40])
+def test_integer_rank_matches_fraction_rank(high):
+    # Entries of 2**31 or more turn the elimination into Python integers.
+    rng = np.random.default_rng(high)
+    for trial in range(30):
+        rows, cols = int(rng.integers(1, 12)), int(rng.integers(1, 10))
+        rank = int(rng.integers(1, min(rows, cols) + 1))
+        # rank-deficient whenever rank < min(rows, cols); entries up to 27 * high
+        left = rng.integers(-3, 4, size=(rows, rank))
+        matrix = left @ rng.integers(-high, high + 1, size=(rank, cols))
+        assert _integer_rank(matrix) == _fraction_rank(matrix.tolist())
+
+
+def test_integer_rank_edge_cases():
+    assert _integer_rank(np.zeros((0, 4), dtype=np.int64)) == 0
+    assert _integer_rank(np.zeros((3, 4), dtype=np.int64)) == 0
+    assert _integer_rank(np.array([[2**31, 1], [2**32, 2]])) == 1
+    assert _integer_rank(np.array([[2**31, 1], [2**32, 3]])) == 2
+    assert _integer_rank(np.array([[2**62, 2**62 - 1], [2**62 - 1, 2**62 - 2]])) == 2
