@@ -43,7 +43,7 @@ from .polytopes import (
 )
 from .quantum import UnitVectorConfig, bouquet, quantum_value
 from .reproduce import run_claims
-from .tsirelson import realize, verify_realization
+from .tsirelson import GENERATOR_GUARD, realize, verify_realization
 from .webs import WebSpec, antiweb_edges, clique_web_inequality, web_edges
 
 _POLYTOPE_COMPACT = re.compile(r"^(bell|cut|cor)(\d+)$")
@@ -280,7 +280,7 @@ def _complex_matrix_json(m: np.ndarray) -> list:
 
 def _cmd_tsirelson(args) -> int:
     config = load_vectors(args.vectors)
-    realization = realize(config)
+    realization = realize(config, guard=args.guard)
     report = verify_realization(realization, config)
     payload = {
         "dimension": realization.dimension,
@@ -432,7 +432,8 @@ def build_parser() -> argparse.ArgumentParser:
         default=os.environ.get("BELLBOUND_GUARD"),
         help=(
             f"variables allowed before a computation is refused (default {DEFAULT_GUARD}, "
-            f"{VERTEX_GUARD} for member and facet-check; env BELLBOUND_GUARD overrides)"
+            f"{VERTEX_GUARD} for member and facet-check, {GENERATOR_GUARD} generators "
+            "for tsirelson; env BELLBOUND_GUARD overrides)"
         ),
     )
 
@@ -499,7 +500,7 @@ def build_parser() -> argparse.ArgumentParser:
         action="store_true",
         help="include operator matrices as [re, im] arrays",
     )
-    p.set_defaults(fn=_cmd_tsirelson)
+    p.set_defaults(fn=_cmd_tsirelson, default_guard=GENERATOR_GUARD)
 
     p = sub.add_parser("werner", parents=[common], help="noise threshold and violation table")
     p.add_argument("--ineq", required=True)
@@ -538,7 +539,7 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     if args.guard is None:
-        # geometry subcommands build whole vertex tables, so their default is smaller
+        # geometry and operator subcommands build whole tables, so their default is smaller
         args.guard = getattr(args, "default_guard", DEFAULT_GUARD)
     try:
         return args.fn(args)

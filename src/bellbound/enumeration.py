@@ -10,17 +10,12 @@ pinned to +1 and only half the cube visited.
 from __future__ import annotations
 
 import math
-from typing import Sequence
+import numbers
+from typing import Iterable, Sequence
 
-from .errors import ParameterError, ResourceLimitError
+from .errors import ParameterError, check_guard
 
 DEFAULT_GUARD = 24
-
-# Half-integer coefficient families (all the named inequalities here) are
-# enumerated in integers after scaling by 2, which makes the reported
-# bound exact rather than a float accumulation.
-EXACT_SCALE = 2
-_EXACT_TOL = 1e-9
 
 
 def gray_flip_sequence(nbits: int):
@@ -33,16 +28,18 @@ def gray_flip_sequence(nbits: int):
         yield (step & -step).bit_length() - 1
 
 
-def _as_exact_weights(pairs: Sequence[tuple[int, int, float]]):
-    """Scale weights by EXACT_SCALE if that makes them all integers."""
-    scaled = []
-    for i, j, w in pairs:
-        s = w * EXACT_SCALE
-        r = round(s)
-        if abs(s - r) > _EXACT_TOL:
-            return None
-        scaled.append((i, j, int(r)))
-    return scaled
+def integer_ratios(values: Iterable[float]) -> tuple[list[int], int]:
+    """values as exact integer numerators over their least common denominator.
+
+    Floats are binary rationals, so float.as_integer_ratio is exact;
+    integers (numpy's too) are kept whole at any size.
+    """
+    ratios = [
+        (int(v), 1) if isinstance(v, numbers.Integral) else float(v).as_integer_ratio()
+        for v in values
+    ]
+    denominator = math.lcm(*(d for _, d in ratios))
+    return [n * (denominator // d) for n, d in ratios], denominator
 
 
 def max_over_signs(
@@ -53,9 +50,9 @@ def max_over_signs(
     """Maximize sum of w * X_i * X_j over sign assignments.
 
     X_0 is pinned to +1 (the form is invariant under a global flip), so
-    half the cube is searched.  Weights that are all half-integers are
-    accumulated in integers, which makes the maximum exact; any other
-    weights are accumulated in floats.
+    half the cube is searched.  Weights that are all exactly integers or
+    half-integers are accumulated in integers, which makes the maximum
+    exact; any other weights are accumulated in floats.
 
     Args:
         n_vars: number of +-1 variables.
@@ -69,19 +66,19 @@ def max_over_signs(
     """
     if n_vars < 1:
         raise ParameterError(f"need at least one variable, got {n_vars}")
-    if n_vars > guard:
-        raise ResourceLimitError(
-            f"{n_vars} variables exceeds the guard of {guard}; "
-            "raise the guard explicitly for a deliberate larger run"
-        )
+    check_guard(n_vars, guard, "variables")
     for i, j, w in pairs:
         if not (0 <= i < j < n_vars):
             raise ParameterError(f"bad pair ({i}, {j}) for {n_vars} variables")
         if not math.isfinite(w):
             raise ParameterError(f"weight on pair ({i}, {j}) is not finite")
 
-    exact = _as_exact_weights(pairs)
-    work = exact if exact is not None else [(i, j, float(w)) for i, j, w in pairs]
+    numerators, denominator = integer_ratios(w for _, _, w in pairs)
+    exact = denominator <= 2
+    if exact:
+        work = [(i, j, c) for (i, j, _), c in zip(pairs, numerators)]
+    else:
+        work = [(i, j, float(w)) for i, j, w in pairs]
 
     adjacency: list[list[tuple[int, object]]] = [[] for _ in range(n_vars)]
     for i, j, w in work:
@@ -106,8 +103,8 @@ def max_over_signs(
             best = value
             best_x = tuple(x)
 
-    if exact is not None:
-        return best / EXACT_SCALE, best_x, evaluations
+    if exact:
+        return best / denominator, best_x, evaluations
     return best, best_x, evaluations
 
 

@@ -1,4 +1,4 @@
-"""Exception types shared across the package, and the numeric input check."""
+"""Exception types shared across the package, and the shared input checks."""
 
 import numpy as np
 
@@ -23,6 +23,15 @@ class ConvergenceError(BellboundError, RuntimeError):
     """An iterative routine hit its cap without reaching tolerance."""
 
 
+def check_guard(size: int, guard: int, what: str) -> None:
+    """Refuse a run of size what (variables, generators, ...) above its guard."""
+    if size > guard:
+        raise ResourceLimitError(
+            f"{size} {what} exceeds the guard of {guard}; "
+            "raise the guard explicitly for a deliberate larger run"
+        )
+
+
 def finite_array(values, what: str) -> np.ndarray:
     """values as a float array, refusing ragged, non-numeric or non-finite input."""
     try:
@@ -32,3 +41,12 @@ def finite_array(values, what: str) -> np.ndarray:
     if not np.isfinite(array).all():
         raise ParameterError(f"{what} must be finite")
     return array
+
+
+def json_int(value, what: str) -> int:
+    """A JSON index or size as an int; booleans and fractions are refused, not truncated."""
+    if isinstance(value, int) and not isinstance(value, bool):
+        return value
+    if isinstance(value, float) and value.is_integer():
+        return int(value)
+    raise ParameterError(f"{what} must be an integer, got {value!r}")

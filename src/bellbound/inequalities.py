@@ -19,7 +19,7 @@ from typing import Iterable, Mapping
 
 from . import enumeration
 from .enumeration import DEFAULT_GUARD
-from .errors import DimensionError, ParameterError
+from .errors import DimensionError, ParameterError, json_int
 
 MODE_COMPLETE = "complete"
 MODE_BIPARTITE = "bipartite"
@@ -110,12 +110,12 @@ class PairwiseInequality:
     def from_json_dict(cls, data: dict) -> "PairwiseInequality":
         try:
             coeffs = {
-                (_json_int(c["i"], "i"), _json_int(c["j"], "j")): float(c["value"])
+                (json_int(c["i"], "i"), json_int(c["j"], "j")): float(c["value"])
                 for c in data["coefficients"]
             }
             mode = str(data["mode"])
-            n_left = _json_int(data["n_left"], "n_left")
-            n_right = _json_int(data["n_right"], "n_right")
+            n_left = json_int(data["n_left"], "n_left")
+            n_right = json_int(data["n_right"], "n_right")
             rhs = float(data["rhs"])
         except KeyError as exc:
             raise ParameterError(f"inequality JSON is missing field {exc}") from exc
@@ -183,9 +183,9 @@ def classical_bound(ineq: PairwiseInequality, guard: int = DEFAULT_GUARD) -> Cla
     """Tight local bound: max of the form over all sign assignments.
 
     The form is invariant under a global flip, so the first variable is
-    pinned to +1.  Half-integer coefficient families are accumulated in
-    exact integers (scaled by 2); ties are broken by the first maximizer
-    in Gray-code order.
+    pinned to +1.  Coefficients that are exactly integers or half-integers
+    are accumulated in exact integers; ties are broken by the first
+    maximizer in Gray-code order.
     """
     best, arg, evals = enumeration.max_over_signs(
         ineq.variable_count, ineq.engine_pairs(), guard=guard
@@ -311,15 +311,6 @@ def collapse_bipartite(ineq: PairwiseInequality) -> PairwiseInequality:
         coefficients=merged,
         rhs=ineq.rhs - diagonal,
     )
-
-
-def _json_int(value, what: str) -> int:
-    """A JSON index or size as an int; booleans and fractions are refused, not truncated."""
-    if isinstance(value, int) and not isinstance(value, bool):
-        return value
-    if isinstance(value, float) and value.is_integer():
-        return int(value)
-    raise ParameterError(f"{what} must be an integer, got {value!r}")
 
 
 def _freeze_coefficients(ineq, n_left: int, n_right: int) -> None:

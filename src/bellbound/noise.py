@@ -21,7 +21,7 @@ from . import enumeration
 from .enumeration import DEFAULT_GUARD
 from .errors import ParameterError
 from .inequalities import PairwiseInequality, SignAssignment, classical_bound
-from .quantum import UnitVectorConfig, planar_ring, quantum_value
+from .quantum import UnitVectorConfig, planar_ring, quantum_value, singlet_correlation
 from .webs import WebSpec
 
 # Below 1/3 the state is separable; below 1/sqrt(2) the 2x2 inequality
@@ -47,12 +47,7 @@ def werner_correlation(x: np.ndarray, y: np.ndarray, eta: float) -> float:
     """E(X Y) = -eta x . y; eta = 1 recovers the singlet."""
     if not (0.0 < eta <= 1.0):
         raise ParameterError(f"eta must lie in (0, 1], got {eta}")
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
-    for v in (x, y):
-        if abs(np.linalg.norm(v) - 1.0) > 1e-12:
-            raise ParameterError("werner correlation requires unit vectors")
-    return float(-eta * (x @ y))
+    return eta * singlet_correlation(x, y)
 
 
 def symmetry_band(eta: float, e_xy: float) -> tuple[float, float]:

@@ -51,13 +51,13 @@ GROTHENDIECK = GrothendieckBounds(
 )
 
 
-def golden_section_max(f, lo: float, hi: float, tol: float = THETA_TOLERANCE):
-    """Maximize a unimodal function on [lo, hi] to width tol."""
+def golden_section_max(f, lo: float, hi: float):
+    """Maximize a unimodal function on [lo, hi] to width THETA_TOLERANCE."""
     a, b = lo, hi
     c = b - GOLDEN_RATIO * (b - a)
     d = a + GOLDEN_RATIO * (b - a)
     fc, fd = f(c), f(d)
-    while b - a > tol:
+    while b - a > THETA_TOLERANCE:
         if fc >= fd:
             b, d, fd = d, c, fc
             c = b - GOLDEN_RATIO * (b - a)
@@ -70,11 +70,11 @@ def golden_section_max(f, lo: float, hi: float, tol: float = THETA_TOLERANCE):
     return x, f(x)
 
 
-def _bisect_crossing(f, lo: float, hi: float, tol: float = THETA_TOLERANCE) -> float:
+def _bisect_crossing(f, lo: float, hi: float) -> float:
     """Locate a sign change of f - 1 bracketed by [lo, hi]."""
     flo = f(lo) - 1.0
     for _ in range(200):
-        if hi - lo <= tol:
+        if hi - lo <= THETA_TOLERANCE:
             break
         mid = (lo + hi) / 2.0
         fm = f(mid) - 1.0
@@ -101,7 +101,6 @@ def scan_theta(
     family: str,
     k: int | None = None,
     grid_points: int = 1024,
-    tol: float = THETA_TOLERANCE,
 ) -> ThetaScanResult:
     """Scan the opening angle over (0, pi/2) for one bouquet family.
 
@@ -133,7 +132,7 @@ def scan_theta(
     best = max(range(grid_points), key=lambda i: values[i])
     lo = thetas[best - 1] if best > 0 else step * 1e-6
     hi = thetas[best + 1] if best < grid_points - 1 else hi_edge - step * 1e-6
-    best_theta, best_value = golden_section_max(f, lo, hi, tol)
+    best_theta, best_value = golden_section_max(f, lo, hi)
     if values[best] > best_value:
         best_theta, best_value = thetas[best], values[best]
 
@@ -144,10 +143,10 @@ def scan_theta(
         last = len(above) - 1 - above[::-1].index(True)
         lo_end = 0.0
         if first > 0:
-            lo_end = _bisect_crossing(f, thetas[first - 1], thetas[first], tol)
+            lo_end = _bisect_crossing(f, thetas[first - 1], thetas[first])
         hi_end = hi_edge
         if last < grid_points - 1:
-            hi_end = _bisect_crossing(f, thetas[last], thetas[last + 1], tol)
+            hi_end = _bisect_crossing(f, thetas[last], thetas[last + 1])
         interval = (lo_end, hi_end)
 
     return ThetaScanResult(
@@ -177,6 +176,8 @@ def _symmetric_matrix(n: int, coefficients: dict[tuple[int, int], float]) -> np.
     for (i, j), w in coefficients.items():
         if not (0 <= i < j < n):
             raise ParameterError(f"bad pair ({i}, {j}) for {n} variables")
+        if not math.isfinite(w):
+            raise ParameterError(f"coefficient on pair ({i}, {j}) is not finite")
         a[i, j] = w
         a[j, i] = w
     return a
@@ -188,8 +189,6 @@ def gram_ascent(
     dim: int,
     restarts: int = 32,
     seed: int = 0,
-    tol: float = ASCENT_TOLERANCE,
-    sweep_cap: int = ASCENT_SWEEP_CAP,
 ) -> GramAscentResult:
     """Maximize sum a_ij x_i . x_j over unit vectors in R^dim.
 
@@ -224,7 +223,7 @@ def gram_ascent(
         value = objective(x)
         converged = False
         sweeps = 0
-        for sweeps in range(1, sweep_cap + 1):
+        for sweeps in range(1, ASCENT_SWEEP_CAP + 1):
             for i in range(n):
                 g = a[i] @ x
                 norm = np.linalg.norm(g)
@@ -235,7 +234,7 @@ def gram_ascent(
                 monotone = False
             improvement = new_value - value
             value = new_value
-            if improvement < tol:
+            if improvement < ASCENT_TOLERANCE:
                 converged = True
                 break
         restart_objectives.append(value)

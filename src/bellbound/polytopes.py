@@ -29,12 +29,11 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 
 import numpy as np
 
-from .errors import ConvergenceError, DimensionError, ParameterError, ResourceLimitError
-from .errors import finite_array
+from .enumeration import integer_ratios
+from .errors import ConvergenceError, DimensionError, ParameterError, check_guard, finite_array
 from .inequalities import MODE_COMPLETE, CutInequality, PairwiseInequality
 
 KIND_BELL = "bell"
@@ -111,11 +110,7 @@ def vertices(spec: PolytopeSpec, guard: int = VERTEX_GUARD) -> np.ndarray:
     before 1, the most significant variable first.
     """
     total = spec.n + spec.m if spec.kind == KIND_BELL_BIPARTITE else spec.n
-    if total > guard:
-        raise ResourceLimitError(
-            f"{total} variables exceeds the guard of {guard}; "
-            "raise the guard explicitly for a deliberate larger run"
-        )
+    check_guard(total, guard, "variables")
     free = total if spec.kind == KIND_COR else total - 1
     codes = np.arange(2**free)
     bits = np.zeros((codes.size, total), dtype=np.int8)
@@ -189,7 +184,7 @@ def _affine_least_squares(points: np.ndarray, target: np.ndarray) -> np.ndarray:
     return solution[:k]
 
 
-def _project_to_hull(point: np.ndarray, verts: np.ndarray, cap: int):
+def _project_to_hull(point: np.ndarray, verts: np.ndarray):
     """Wolfe's min-norm-point projection of point onto conv(verts).
 
     Maintains a corral of vertices and its convex weights; each major
@@ -205,7 +200,7 @@ def _project_to_hull(point: np.ndarray, verts: np.ndarray, cap: int):
     weights = np.array([1.0])
     # absolute duality-gap cutoff; coordinates here are O(1) integers
     eps = 1e-12
-    for iteration in range(1, cap + 1):
+    for iteration in range(1, MEMBERSHIP_ITERATION_CAP + 1):
         x = weights @ verts[corral]
         g = point - x
         scores = verts @ g
@@ -234,15 +229,13 @@ def _project_to_hull(point: np.ndarray, verts: np.ndarray, cap: int):
             weights = weights[keep]
             weights /= weights.sum()
     raise ConvergenceError(
-        f"hull projection did not converge within {cap} iterations"
+        f"hull projection did not converge within {MEMBERSHIP_ITERATION_CAP} iterations"
     )
 
 
 def membership(
     spec: PolytopeSpec,
     point: np.ndarray,
-    tolerance: float = MEMBERSHIP_TOLERANCE,
-    max_iterations: int = MEMBERSHIP_ITERATION_CAP,
     guard: int = VERTEX_GUARD,
 ) -> MembershipCertificate:
     """Decide whether a point lies in the polytope.
@@ -258,9 +251,9 @@ def membership(
             f"point has shape {point.shape}, ambient dimension is {spec.ambient_dim}"
         )
     verts = vertices(spec, guard=guard).astype(float)
-    projection, iterations = _project_to_hull(point, verts, max_iterations)
+    projection, iterations = _project_to_hull(point, verts)
     distance = float(np.linalg.norm(point - projection))
-    if distance <= tolerance:
+    if distance <= MEMBERSHIP_TOLERANCE:
         return MembershipCertificate(
             inside=True,
             distance=distance,
@@ -376,13 +369,7 @@ def facet_check(
             f"coefficient vector has shape {coefficients.shape}, "
             f"ambient dimension is {spec.ambient_dim}"
         )
-    fractions = [Fraction(float(c)) for c in coefficients]
-    rhs_fraction = Fraction(float(rhs))
-    scale = 1
-    for f in fractions + [rhs_fraction]:
-        scale = scale * f.denominator // math.gcd(scale, f.denominator)
-    ints = [int(f * scale) for f in fractions]
-    rhs_int = int(rhs_fraction * scale)
+    *ints, rhs_int = integer_ratios([*coefficients.tolist(), float(rhs)])[0]
 
     # Vertex entries lie in {-1, 0, 1}, so sum |c| bounds every value.
     fits = sum(abs(c) for c in ints) < 2**62

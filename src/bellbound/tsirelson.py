@@ -14,10 +14,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ParameterError, ResourceLimitError
+from .errors import ParameterError, check_guard
 from .quantum import UnitVectorConfig
 
 GENERATOR_GUARD = 12
+REALIZATION_TOLERANCE = 1e-10
 
 PAULI_X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
 PAULI_Y = np.array([[0.0, -1.0j], [1.0j, 0.0]], dtype=complex)
@@ -41,11 +42,7 @@ def clifford_generators(n: int, guard: int = GENERATOR_GUARD) -> list[np.ndarray
     """
     if n < 1:
         raise ParameterError(f"need at least one generator, got {n}")
-    if n > guard:
-        raise ResourceLimitError(
-            f"{n} generators exceeds the guard of {guard}; "
-            "raise the guard explicitly for a deliberate larger run"
-        )
+    check_guard(n, guard, "generators")
     m = (n + 1) // 2
     generators = []
     for k in range(1, n + 1):
@@ -149,7 +146,6 @@ class RealizationReport:
 def verify_realization(
     realization: OperatorRealization,
     config: UnitVectorConfig,
-    tolerance: float = 1e-10,
 ) -> RealizationReport:
     """Measure every promised property of a realization.
 
@@ -168,7 +164,7 @@ def verify_realization(
     state = realization.state
 
     hermiticity = involution = tracelessness = marginals = 0.0
-    norm_dev = abs(np.linalg.norm(state) - 1.0)
+    norm_dev = abs(float(np.linalg.norm(state)) - 1.0)
     for ops in (a_ops, b_ops):
         for op in ops:
             hermiticity = max(hermiticity, float(np.max(np.abs(op - op.conj().T))))
@@ -200,5 +196,5 @@ def verify_realization(
         marginals=max(marginals, norm_dev),
         correlation=correlation,
         anticommutator=anticommutator,
-        tolerance=tolerance,
+        tolerance=REALIZATION_TOLERANCE,
     )

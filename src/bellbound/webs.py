@@ -12,7 +12,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 
-from .errors import DimensionError, ParameterError, ResourceLimitError
+from .errors import DimensionError, ParameterError, check_guard, json_int
 from .inequalities import MODE_COMPLETE, PairwiseInequality
 
 ALON_GUARD = 20
@@ -63,12 +63,16 @@ class EdgeSet:
     @classmethod
     def from_json_dict(cls, data: dict) -> "EdgeSet":
         try:
-            edges = tuple(
-                (min(int(i), int(j)), max(int(i), int(j))) for i, j in data["edges"]
-            )
-            return cls(n=int(data["n"]), edges=tuple(sorted(set(edges))))
+            ends = [
+                (json_int(i, "edge end"), json_int(j, "edge end")) for i, j in data["edges"]
+            ]
+            n = json_int(data["n"], "n")
         except KeyError as exc:
             raise ParameterError(f"edge-set JSON is missing field {exc}") from exc
+        except (TypeError, ValueError) as exc:
+            raise ParameterError(f"malformed edge-set JSON: {exc}") from exc
+        edges = {(min(i, j), max(i, j)) for i, j in ends}
+        return cls(n=n, edges=tuple(sorted(edges)))
 
     def to_json(self, indent: int | None = 2) -> str:
         return json.dumps(self.to_json_dict(), indent=indent, sort_keys=True)
@@ -174,10 +178,7 @@ def verify_alon_theorem(spec: WebSpec, guard: int = ALON_GUARD) -> AlonReport:
         raise ParameterError("the cut-size bounds require r >= 1")
     if p < 2 * r + 3:
         raise ParameterError("the cut-size bounds require p >= 2r + 3")
-    if p > guard:
-        raise ResourceLimitError(
-            f"p = {p} exceeds the guard of {guard}; raise it for a deliberate run"
-        )
+    check_guard(p, guard, "web vertices")
 
     full = (1 << p) - 1
     adjacency = []

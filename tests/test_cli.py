@@ -157,6 +157,25 @@ def test_tsirelson_passes(capsys):
     assert data["correlation"] < 1e-10
 
 
+def test_tsirelson_honours_the_guard(capsys, monkeypatch):
+    # 13 coordinates need 13 generators, one past the default of 12
+    vectors = json.dumps([[1.0] + [0.0] * 12])
+    monkeypatch.delenv("BELLBOUND_GUARD", raising=False)
+    code, out, err = run(capsys, ["tsirelson", "--vectors", vectors, "--format", "json"])
+    assert code == 1
+    assert out == ""
+    payload = json.loads(err)
+    assert payload["error"] == "ResourceLimitError"
+    assert "guard of 12" in payload["message"]
+    code, out, _ = run(
+        capsys, ["tsirelson", "--vectors", vectors, "--guard", "13", "--format", "json"]
+    )
+    assert code == 0
+    data = json.loads(out)
+    assert data["dimension"] == 128
+    assert data["passed"] is True
+
+
 def test_werner_single_eta(capsys):
     code, out, _ = run(
         capsys,

@@ -5,8 +5,21 @@ import itertools
 import numpy as np
 import pytest
 
-from bellbound import ParameterError, ResourceLimitError, max_over_signs, min_over_signs
-from bellbound.enumeration import _as_exact_weights, gray_flip_sequence
+from bellbound import (
+    ParameterError,
+    PairwiseInequality,
+    PolytopeSpec,
+    ResourceLimitError,
+    WebSpec,
+    classical_bound,
+    clifford_generators,
+    max_over_signs,
+    min_over_signs,
+    noise_quantity,
+    verify_alon_theorem,
+    vertices,
+)
+from bellbound.enumeration import gray_flip_sequence, integer_ratios
 
 SEED = 20260818
 
@@ -68,10 +81,48 @@ def test_exact_path_agrees_with_float_path():
     # Half-integer weights take the scaled integer route; the float
     # brute force must give the same optimum.
     pairs = [(0, 1, 0.5), (0, 2, 0.5), (1, 3, 0.5), (2, 3, -0.5), (1, 2, -1.0)]
-    assert _as_exact_weights(pairs) is not None
+    assert integer_ratios(w for _, _, w in pairs) == ([1, 1, 1, -1, -2], 2)
     exact = max_over_signs(4, pairs)
     assert exact[0] == _brute_max(4, pairs)[0]
     assert isinstance(exact[0], float)
+
+
+def test_integer_ratios_are_exact():
+    assert integer_ratios([]) == ([], 1)
+    assert integer_ratios([0.75, -2, 0.1]) == (
+        [27021597764222976, -72057594037927936, 3602879701896397],
+        36028797018963968,
+    )
+    # integers stay whole past 2**53, numpy integers included
+    big = 2**60 + 1
+    assert integer_ratios([big, np.int64(-(2**62 + 1)), 0.5]) == (
+        [2 * big, -2 * (2**62 + 1), 1],
+        2,
+    )
+    assert integer_ratios([np.float32(0.25), True]) == ([1, 4], 4)
+
+
+def test_large_integer_weights_stay_exact():
+    # Past 2**53 the float route would read big as 2**53 and report
+    # 2**53 + 2; summed in integers the maximum is big + 2, rounded once.
+    big = 2**53 + 1
+    value, argmax, _ = max_over_signs(3, [(0, 1, big), (1, 2, -1), (0, 2, -1)])
+    assert value == float(big + 2) == 2**53 + 4
+    assert argmax == (1, 1, -1)
+
+
+def test_near_half_integer_weights_are_not_rounded():
+    # Only exact half-integers take the integer route; a weight 4e-10 off
+    # is enumerated as it is, not rounded onto the half-integer lattice.
+    assert max_over_signs(2, [(0, 1, 0.5 + 4e-10)])[0] == 0.5 + 4e-10
+    ineq = PairwiseInequality(
+        "complete", 3, 0, {(0, 1): -1.0000000004, (0, 2): -1.0, (1, 2): -1.0}, 1.0
+    )
+    pairs = list(ineq.engine_pairs())
+    assert integer_ratios(w for _, _, w in pairs)[1] > 2
+    bound = classical_bound(ineq)
+    assert bound.max_value == _brute_max(3, pairs)[0] == 1.0000000004
+    assert noise_quantity(ineq).value == 1.0
 
 
 def test_min_is_negated_max():
@@ -90,6 +141,21 @@ def test_no_pairs_gives_zero():
     assert value == 0.0
     assert len(argmax) == 3
     assert evaluations >= 1
+
+
+def test_guard_refusals_share_one_wording():
+    refusals = [
+        (lambda: max_over_signs(5, [], guard=4), "5 variables exceeds the guard of 4"),
+        (lambda: vertices(PolytopeSpec.bell(5), guard=4), "5 variables exceeds the guard of 4"),
+        (lambda: clifford_generators(5, guard=4), "5 generators exceeds the guard of 4"),
+        (
+            lambda: verify_alon_theorem(WebSpec(5, 2, 1), guard=4),
+            "5 web vertices exceeds the guard of 4",
+        ),
+    ]
+    for call, wording in refusals:
+        with pytest.raises(ResourceLimitError, match=wording):
+            call()
 
 
 def test_guard_and_validation():

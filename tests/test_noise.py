@@ -9,6 +9,7 @@ import pytest
 from bellbound import (
     CHSH_CRITICAL_ETA,
     MODE_COMPLETE,
+    DimensionError,
     ParameterError,
     PairwiseInequality,
     SEPARABILITY_ETA,
@@ -41,6 +42,8 @@ def test_werner_correlation():
         werner_correlation(x, x, 1.5)
     with pytest.raises(ParameterError):
         werner_correlation(x, 2.0 * x, 0.5)
+    with pytest.raises(DimensionError):
+        werner_correlation(x, np.array([1.0, 0.0]), 0.5)
 
 
 def test_werner_params_domain():

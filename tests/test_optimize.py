@@ -104,6 +104,10 @@ def test_gram_ascent_validation():
         gram_ascent(TRIANGLE_COEFFS, 3, dim=2, restarts=0)
     with pytest.raises(ParameterError):
         gram_ascent({(1, 0): 1.0}, 3, dim=2)
+    # a NaN used to run every sweep of every restart and return nan
+    for bad in (math.nan, math.inf, -math.inf):
+        with pytest.raises(ParameterError):
+            gram_ascent({(0, 1): bad, (1, 2): 1.0}, 3, 2)
 
 
 def test_gram_ascent_seeded_reproducibility():

@@ -114,3 +114,13 @@ def test_verify_rejects_mismatched_config():
     assert report.correlation > 1e-3
     with pytest.raises(ParameterError):
         verify_realization(realization, planar_ring(4))
+
+
+@pytest.mark.parametrize("dim", [1, 9, 13])
+def test_report_is_plain_python(dim):
+    # The state norm is 1.1e-16 off here, and at 9 and 13 dimensions that
+    # is the largest deviation; a numpy bool in passed broke CLI output.
+    config = UnitVectorConfig(np.eye(1, dim))
+    report = verify_realization(realize(config, guard=dim), config)
+    assert type(report.passed) is bool and report.passed
+    assert type(report.marginals) is float

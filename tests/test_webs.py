@@ -109,8 +109,28 @@ def test_edge_set_json_round_trip():
     edges = web_edges(WebSpec(8, 3, 2))
     data = json.loads(edges.to_json())
     assert EdgeSet.from_json_dict(data) == edges
+    assert EdgeSet.from_json_dict({"n": 3.0, "edges": [[2, 0.0]]}) == EdgeSet(3, ((0, 2),))
     with pytest.raises(ParameterError):
         EdgeSet.from_json_dict({"edges": [[0, 1]]})
+    with pytest.raises(DimensionError):
+        EdgeSet.from_json_dict({"n": 3, "edges": [[0, 3]]})
+
+
+@pytest.mark.parametrize(
+    "data",
+    [
+        {"n": 5, "edges": [[0, 1.5]]},
+        {"n": 5, "edges": [["a", 1]]},
+        {"n": 5, "edges": [[0]]},
+        {"n": 5.5, "edges": [[0, 1]]},
+        {"n": True, "edges": []},
+    ],
+)
+def test_edge_set_json_refuses_malformed_input(data):
+    # fractional ends are refused rather than truncated, and bad shapes
+    # give ParameterError rather than a bare ValueError
+    with pytest.raises(ParameterError):
+        EdgeSet.from_json_dict(data)
 
 
 def test_edge_set_validation():
