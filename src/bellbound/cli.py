@@ -103,6 +103,8 @@ def load_inequality(spec: str) -> PairwiseInequality:
     if named:
         p, q, r = (int(g) for g in named.groups())
         return clique_web_inequality(WebSpec(p, q, r))
+    if spec.startswith("cliqueweb:"):
+        raise ParameterError(f"malformed name {spec!r}; expected cliqueweb:p,q,r")
     return PairwiseInequality.from_json_dict(_load_json_source(spec))
 
 
@@ -314,6 +316,8 @@ def _normalized_to_unit_bound(ineq: PairwiseInequality, guard: int) -> PairwiseI
 
 
 def _cmd_werner(args) -> int:
+    if args.eta is None and args.points < 1:
+        raise ParameterError(f"need at least 1 table point, got --points {args.points}")
     ineq = _normalized_to_unit_bound(load_inequality(args.ineq), args.guard)
     config = load_vectors(args.vectors)
     report = partitioned_threshold(ineq, config, guard=args.guard)

@@ -10,9 +10,13 @@ vertices:
 
 Membership is decided by projecting onto the hull with Wolfe's
 min-norm-point algorithm (a support-oracle method: each iteration only
-asks which vertex is extreme in a direction); outside points get a
-separating hyperplane that is verified against every vertex before the
-certificate is returned.  Facet checks are exact: coefficients are
+asks which vertex is extreme in a direction).  The corral's bordered
+linear system is kept from cycle to cycle and solved by elimination;
+least squares takes over only when the corral turns affinely dependent,
+and once per call to re-solve the final corral from its vertices.
+Outside points get a separating hyperplane that is verified against
+every vertex; inside points get the final corral's convex weights,
+verified to rebuild the point.  Facet checks are exact: coefficients are
 rationalized and scaled to integers, the values on all vertices are one
 int64 matrix product, and the affine rank of the tight set comes from a
 vectorized fraction-free elimination in int64.  Vertex entries are in
@@ -148,7 +152,9 @@ class MembershipCertificate:
 
     distance is the Euclidean distance from the query to the hull,
     witness is the nearest hull point found, and separating is present
-    exactly when the query is outside.
+    exactly when the query is outside.  witness is weights @ V[corral],
+    where V is the vertex table and corral lists rows of it; inside
+    answers are returned only once those weights are checked convex.
     """
 
     inside: bool
@@ -156,6 +162,8 @@ class MembershipCertificate:
     witness: np.ndarray
     separating: SeparatingHyperplane | None
     iterations: int
+    corral: np.ndarray
+    weights: np.ndarray
 
     def to_json_dict(self) -> dict:
         sep = None
@@ -184,50 +192,89 @@ def _affine_least_squares(points: np.ndarray, target: np.ndarray) -> np.ndarray:
     return solution[:k]
 
 
+def _affine_solve(system: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+    """Solve a corral's bordered system for its affine minimizer weights.
+
+    Row and column 0 carry the constraint that the weights sum to one,
+    the rest is the corral's Gram matrix, and the right-hand side holds
+    1 and each corral vertex dotted with the point.  The matrix is
+    nonsingular exactly when the corral is affinely independent; when
+    elimination meets a zero pivot the corral has become numerically
+    dependent, and least squares picks the minimizer of smallest norm.
+    """
+    try:
+        return np.linalg.solve(system, rhs)[1:]
+    except np.linalg.LinAlgError:
+        return np.linalg.lstsq(system, rhs, rcond=None)[0][1:]
+
+
 def _project_to_hull(point: np.ndarray, verts: np.ndarray):
     """Wolfe's min-norm-point projection of point onto conv(verts).
 
     Maintains a corral of vertices and its convex weights; each major
     cycle adds the vertex most extreme in the direction of the residual
     and minor cycles restore feasibility of the affine minimizer.  The
-    projection is optimal when the duality gap is closed, or when the
-    extreme vertex is already in the corral: the corral's minimizer
-    cannot move then, whatever rounding leaves in the gap.
-    Returns (projection, iterations).
+    corral's bordered system (see _affine_solve) is kept between cycles:
+    a major cycle adds one row and column, a minor cycle drops those of
+    the vertices it removes.  The projection is optimal when the duality
+    gap is closed, or when the extreme vertex is already in the corral:
+    the corral's minimizer cannot move then, whatever rounding leaves in
+    the gap.  The final corral is then solved once more by least squares
+    from its vertices, and those weights are taken when they are
+    feasible, so the projection's last digits depend on the final corral
+    alone and not on the order in which the kept system was built.
+    Returns (corral row indices, convex weights, iterations).
     """
     distances = ((verts - point) ** 2).sum(axis=1)
     corral = [int(np.argmin(distances))]
+    first = verts[corral[0]]
     weights = np.array([1.0])
+    system = np.array([[0.0, 1.0], [1.0, first @ first]])
+    rhs = np.array([1.0, first @ point])
     # absolute duality-gap cutoff; coordinates here are O(1) integers
     eps = 1e-12
     for iteration in range(1, MEMBERSHIP_ITERATION_CAP + 1):
-        x = weights @ verts[corral]
+        members = verts[corral]
+        x = weights @ members
         g = point - x
         scores = verts @ g
         candidate = int(np.argmax(scores))
         if scores[candidate] <= g @ x + eps or candidate in corral:
-            return x, iteration
+            if len(corral) > 1:
+                affine = _affine_least_squares(members, point)
+                if (affine >= -1e-14).all():
+                    weights = np.clip(affine, 0.0, None)
+                    weights /= weights.sum()
+            return np.array(corral), weights, iteration
+        vertex = verts[candidate]
+        size = len(system)
+        grown = np.empty((size + 1, size + 1))
+        grown[:size, :size] = system
+        grown[size, 0] = grown[0, size] = 1.0
+        grown[size, 1:size] = grown[1:size, size] = members @ vertex
+        grown[size, size] = vertex @ vertex
+        system = grown
+        rhs = np.append(rhs, vertex @ point)
         corral.append(candidate)
         weights = np.append(weights, 0.0)
         while True:
-            affine = _affine_least_squares(verts[corral].astype(float), point)
+            affine = _affine_solve(system, rhs)
             if (affine >= -1e-14).all():
                 weights = np.clip(affine, 0.0, None)
                 weights /= weights.sum()
                 break
             negative = affine < -1e-14
-            steps = [
-                weights[t] / (weights[t] - affine[t])
-                for t in range(len(corral))
-                if negative[t]
-            ]
-            theta = min(steps)
+            steps = weights[negative] / (weights[negative] - affine[negative])
+            theta = steps.min()
             weights = (1.0 - theta) * weights + theta * affine
             weights[weights < 1e-15] = 0.0
             keep = weights > 0.0
             corral = [c for c, k in zip(corral, keep) if k]
             weights = weights[keep]
             weights /= weights.sum()
+            rows = np.concatenate(([True], keep))
+            system = system[np.ix_(rows, rows)]
+            rhs = rhs[rows]
     raise ConvergenceError(
         f"hull projection did not converge within {MEMBERSHIP_ITERATION_CAP} iterations"
     )
@@ -243,7 +290,9 @@ def membership(
     Outside points come with a unit separating normal, with the offset
     set to the exhaustive maximum of the normal over all vertices, so
     the certificate is checked against the whole vertex set rather than
-    trusted from the projection.
+    trusted from the projection.  Inside points come with the final
+    corral and its weights, checked to be nonnegative, to sum to one
+    within 1e-12 and to rebuild the point within the tolerance.
     """
     point = finite_array(point, "point")
     if point.shape != (spec.ambient_dim,):
@@ -251,15 +300,25 @@ def membership(
             f"point has shape {point.shape}, ambient dimension is {spec.ambient_dim}"
         )
     verts = vertices(spec, guard=guard).astype(float)
-    projection, iterations = _project_to_hull(point, verts)
+    corral, weights, iterations = _project_to_hull(point, verts)
+    projection = weights @ verts[corral]
     distance = float(np.linalg.norm(point - projection))
     if distance <= MEMBERSHIP_TOLERANCE:
+        # distance is already the gap between the point and weights @ verts[corral]
+        total = float(weights.sum())
+        if (weights < 0.0).any() or abs(total - 1.0) > 1e-12:
+            raise ConvergenceError(
+                f"inside certificate failed: weights sum to {total!r}, "
+                f"smallest {float(weights.min())!r}"
+            )
         return MembershipCertificate(
             inside=True,
             distance=distance,
             witness=projection,
             separating=None,
             iterations=iterations,
+            corral=corral,
+            weights=weights,
         )
     normal = (point - projection) / distance
     offset = float(np.max(verts @ normal))
@@ -274,6 +333,8 @@ def membership(
         witness=projection,
         separating=SeparatingHyperplane(normal=normal, offset=offset),
         iterations=iterations,
+        corral=corral,
+        weights=weights,
     )
 
 

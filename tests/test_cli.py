@@ -219,6 +219,27 @@ def test_werner_table_and_threshold(capsys):
     assert len(data["table"]) == 10
 
 
+@pytest.mark.parametrize("points", ["0", "-3"])
+def test_werner_refuses_an_empty_table(capsys, points):
+    argv = ["werner", "--ineq", "triangle", "--vectors", RING3, "--points", points,
+            "--format", "json"]
+    code, out, err = run(capsys, argv)
+    assert code == 1
+    assert out == ""
+    payload = json.loads(err)
+    assert payload["error"] == "ParameterError"
+    assert "--points" in payload["message"]
+
+
+def test_malformed_cliqueweb_name_is_not_read_as_a_file(capsys):
+    code, out, err = run(capsys, ["classical-bound", "--ineq", "cliqueweb:5,2"])
+    assert code == 1
+    assert out == ""
+    payload = json.loads(err)
+    assert payload["error"] == "ParameterError"
+    assert "cliqueweb:p,q,r" in payload["message"]
+
+
 def test_maxcut_triangle(capsys):
     code, out, _ = run(capsys, ["maxcut", "--ineq", "triangle", "--format", "json"])
     assert code == 0
@@ -374,6 +395,7 @@ def test_geometry_commands_default_to_the_vertex_guard(capsys, monkeypatch, over
         (None, ["classical-bound", "--ineq", _ineq_json(n_left=3.7)], 1),
         (None, ["classical-bound", "--ineq", _ineq_json(i=True, j=2)], 1),
         (None, ["classical-bound", "--ineq", _ineq_json(j="1")], 1),
+        (None, ["classical-bound", "--ineq", "cliqueweb:5,2"], 1),
     ],
 )
 def test_bad_input_exits_without_traceback(capsys, monkeypatch, guard_env, argv, expected):

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from bellbound import (
+    ConvergenceError,
     DimensionError,
     ParameterError,
     PolytopeSpec,
@@ -22,6 +23,7 @@ from bellbound import (
     triangle,
     vertices,
 )
+from bellbound import polytopes
 from bellbound.polytopes import _integer_rank
 
 SQRT2 = math.sqrt(2.0)
@@ -165,6 +167,28 @@ def test_certificate_json_shape():
     outside = membership(spec, np.array([-0.5, -0.5, -0.5])).to_json_dict()
     assert set(outside) == {"inside", "distance", "separating"}
     assert set(outside["separating"]) == {"normal", "offset"}
+
+
+def test_inside_answers_carry_checked_convex_weights(monkeypatch):
+    spec = PolytopeSpec.bell(3)
+    verts = vertices(spec)
+    point = (verts[0] + verts[1]) / 2.0
+    cert = membership(spec, point)
+    assert cert.inside
+    assert (cert.weights >= 0.0).all()
+    assert cert.weights.sum() == pytest.approx(1.0, abs=1e-12)
+    assert np.linalg.norm(cert.weights @ verts[cert.corral] - point) <= 1e-7
+    # The four vertices of bell(3) sum to zero, so both combinations below
+    # rebuild the point exactly; neither is convex, and neither is accepted.
+    for corral, weights in (([0, 0, 1], [1.5, -1.0, 0.5]), ([0, 1, 2, 3], [0.51, 0.51, 0.01, 0.01])):
+        assert np.allclose(np.array(weights) @ verts[corral], point, atol=1e-12)
+        monkeypatch.setattr(
+            polytopes,
+            "_project_to_hull",
+            lambda p, v, c=corral, w=weights: (np.array(c), np.array(w), 1),
+        )
+        with pytest.raises(ConvergenceError, match="inside certificate"):
+            membership(spec, point)
 
 
 def test_projection_stops_when_extreme_vertex_is_in_corral():
