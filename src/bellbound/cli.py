@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import csv
 import dataclasses
+import functools
 import json
 import math
 import os
@@ -540,8 +541,18 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.lru_cache(maxsize=8)
+def _parser(guard_env: str | None) -> argparse.ArgumentParser:
+    """The parser for one BELLBOUND_GUARD value, which sets the --guard default.
+
+    parse_args leaves a parser unchanged, so each one is built once per
+    process; a changed environment picks another cache entry.
+    """
+    return build_parser()
+
+
 def main(argv: list[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
+    args = _parser(os.environ.get("BELLBOUND_GUARD")).parse_args(argv)
     if args.guard is None:
         # geometry and operator subcommands build whole tables, so their default is smaller
         args.guard = getattr(args, "default_guard", DEFAULT_GUARD)

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -28,6 +28,8 @@ GOLDEN_RATIO = (math.sqrt(5.0) - 1.0) / 2.0
 THETA_TOLERANCE = 1e-10
 ASCENT_TOLERANCE = 1e-10
 ASCENT_SWEEP_CAP = 2000
+# restarts advanced together; bounds the stacks at ASCENT_BLOCK * n * max(n, dim) floats
+ASCENT_BLOCK = 64
 RATIO_VIOLATION_TOL = 1e-9
 
 
@@ -183,6 +185,69 @@ def _symmetric_matrix(n: int, coefficients: dict[tuple[int, int], float]) -> np.
     return a
 
 
+def _unit_start(child: np.random.SeedSequence, n: int, dim: int) -> np.ndarray:
+    """One restart's random unit vectors, drawn from its own seed stream."""
+    rng = np.random.default_rng(child)
+    x = rng.normal(size=(n, dim))
+    norms = np.linalg.norm(x, axis=1)
+    degenerate = norms < 1e-12
+    norms[degenerate] = 1.0
+    x /= norms[:, None]
+    x[degenerate] = np.eye(1, dim)[0]
+    return x
+
+
+def _objectives(a: np.ndarray, stack: np.ndarray) -> np.ndarray:
+    """0.5 * sum a_ij x_i . x_j for every configuration in a (count, n, dim) stack."""
+    return 0.5 * np.sum(a * (stack @ stack.transpose(0, 2, 1)), axis=(1, 2))
+
+
+def _ascend(a: np.ndarray, stack: np.ndarray):
+    """Run the round-robin ascent on a stack of starts, in place.
+
+    Every restart still climbing advances in the same sweep; a restart
+    whose objective rose by less than ASCENT_TOLERANCE is frozen there
+    and leaves the working stack.  Each product below (the gradient
+    a[i] @ x, its squared norm g . g, and the objective) is taken per
+    stacked configuration by the same kernel as for a single one, so
+    every restart gets the bits it would get alone.  Returns the final
+    objectives, the sweeps and converged flags per restart, and whether
+    no sweep lowered an objective by more than 1e-12.
+    """
+    count, n, _ = stack.shape
+    values = _objectives(a, stack)
+    sweeps = np.full(count, ASCENT_SWEEP_CAP)
+    converged = np.zeros(count, dtype=bool)
+    monotone = True
+    live = np.arange(count)
+    work = stack
+    for sweep in range(1, ASCENT_SWEEP_CAP + 1):
+        for i in range(n):
+            g = a[i] @ work
+            norm = np.sqrt(np.matmul(g[:, None, :], g[:, :, None])[:, 0, 0])
+            moves = norm > 1e-14
+            if moves.all():
+                work[:, i] = g / norm[:, None]
+            else:
+                # a zero gradient keeps the current vector
+                work[moves, i] = g[moves] / norm[moves, None]
+        new = _objectives(a, work)
+        old = values[live]
+        if (new < old - 1e-12).any():
+            monotone = False
+        values[live] = new
+        done = new - old < ASCENT_TOLERANCE
+        if done.any():
+            sweeps[live[done]] = sweep
+            converged[live[done]] = True
+            stack[live[done]] = work[done]
+            live, work = live[~done], work[~done]
+            if live.size == 0:
+                break
+    stack[live] = work
+    return values, sweeps, converged, monotone
+
+
 def gram_ascent(
     coefficients: dict[tuple[int, int], float],
     n: int,
@@ -196,7 +261,9 @@ def gram_ascent(
     which can only raise the objective (the terms containing x_i are
     linear in it and everything else is untouched); zero gradients keep
     the current vector.  Restart streams are split from the seed per
-    restart index, so results do not depend on evaluation order.
+    restart index, and the restarts advance together in blocks of
+    ASCENT_BLOCK, each giving the same bits as when run alone; the first
+    restart with the largest objective is returned.
     """
     if dim < 1 or dim > n:
         raise ParameterError(f"dim must lie in 1..{n}, got {dim}")
@@ -204,59 +271,26 @@ def gram_ascent(
         raise ParameterError("need at least one restart")
     a = _symmetric_matrix(n, coefficients)
 
-    def objective(x: np.ndarray) -> float:
-        return 0.5 * float(np.sum(a * (x @ x.T)))
-
     best: GramAscentResult | None = None
     monotone = True
-    restart_objectives = []
+    restart_objectives: list[float] = []
     children = np.random.SeedSequence(seed).spawn(restarts)
-    for child in children:
-        rng = np.random.default_rng(child)
-        x = rng.normal(size=(n, dim))
-        norms = np.linalg.norm(x, axis=1)
-        degenerate = norms < 1e-12
-        norms[degenerate] = 1.0
-        x /= norms[:, None]
-        x[degenerate] = np.eye(1, dim)[0]
-
-        value = objective(x)
-        converged = False
-        sweeps = 0
-        for sweeps in range(1, ASCENT_SWEEP_CAP + 1):
-            for i in range(n):
-                g = a[i] @ x
-                norm = np.linalg.norm(g)
-                if norm > 1e-14:
-                    x[i] = g / norm
-            new_value = objective(x)
-            if new_value < value - 1e-12:
-                monotone = False
-            improvement = new_value - value
-            value = new_value
-            if improvement < ASCENT_TOLERANCE:
-                converged = True
-                break
-        restart_objectives.append(value)
-        if best is None or value > best.objective:
+    for first in range(0, restarts, ASCENT_BLOCK):
+        stack = np.stack([_unit_start(c, n, dim) for c in children[first : first + ASCENT_BLOCK]])
+        values, sweeps, converged, block_monotone = _ascend(a, stack)
+        monotone = monotone and block_monotone
+        restart_objectives.extend(values.tolist())
+        k = int(np.argmax(values))
+        if best is None or values[k] > best.objective:
             best = GramAscentResult(
-                objective=value,
-                vectors=x.copy(),
-                converged=converged,
-                sweeps=sweeps,
+                objective=float(values[k]),
+                vectors=stack[k].copy(),
+                converged=bool(converged[k]),
+                sweeps=int(sweeps[k]),
                 monotone=True,
                 restart_objectives=(),
             )
-
-    assert best is not None
-    return GramAscentResult(
-        objective=best.objective,
-        vectors=best.vectors,
-        converged=best.converged,
-        sweeps=best.sweeps,
-        monotone=monotone,
-        restart_objectives=tuple(restart_objectives),
-    )
+    return replace(best, monotone=monotone, restart_objectives=tuple(restart_objectives))
 
 
 @dataclass

@@ -48,6 +48,9 @@ KIND_COR = "cor"
 VERTEX_GUARD = 16
 MEMBERSHIP_TOLERANCE = 1e-7
 MEMBERSHIP_ITERATION_CAP = 100_000
+# Squared distances overflow once coordinates pass about 1e154; a point
+# beyond this is projected from a copy scaled down by a power of two.
+PROJECTION_COORDINATE_LIMIT = 2.0**500
 
 
 @dataclass(frozen=True)
@@ -150,11 +153,15 @@ class SeparatingHyperplane:
 class MembershipCertificate:
     """Outcome of a hull membership query.
 
-    distance is the Euclidean distance from the query to the hull,
-    witness is the nearest hull point found, and separating is present
-    exactly when the query is outside.  witness is weights @ V[corral],
-    where V is the vertex table and corral lists rows of it; inside
-    answers are returned only once those weights are checked convex.
+    distance is the Euclidean distance from the query to the witness,
+    the nearest hull point found, so it bounds the distance to the hull
+    from above.  separating and margin are present exactly when the
+    query is outside; margin is normal . point - offset, the query's
+    height above a hyperplane that every vertex satisfies, so it bounds
+    the distance from below, up to float rounding.  witness is
+    weights @ V[corral], where V is the vertex table and corral lists
+    rows of it; inside answers are returned only once those weights are
+    checked convex.
     """
 
     inside: bool
@@ -164,6 +171,7 @@ class MembershipCertificate:
     iterations: int
     corral: np.ndarray
     weights: np.ndarray
+    margin: float | None = None
 
     def to_json_dict(self) -> dict:
         sep = None
@@ -292,7 +300,8 @@ def membership(
     the certificate is checked against the whole vertex set rather than
     trusted from the projection.  Inside points come with the final
     corral and its weights, checked to be nonnegative, to sum to one
-    within 1e-12 and to rebuild the point within the tolerance.
+    within 1e-12 and to rebuild the point within the tolerance.  A point
+    too far out for its distance to be a finite float is refused.
     """
     point = finite_array(point, "point")
     if point.shape != (spec.ambient_dim,):
@@ -300,9 +309,18 @@ def membership(
             f"point has shape {point.shape}, ambient dimension is {spec.ambient_dim}"
         )
     verts = vertices(spec, guard=guard).astype(float)
-    corral, weights, iterations = _project_to_hull(point, verts)
+    # A far point is projected from its copy on the same ray; the distance,
+    # hyperplane and margin below are all taken with the point itself.
+    peak = float(np.abs(point).max())
+    scale = 1.0
+    if peak > PROJECTION_COORDINATE_LIMIT:
+        scale = 2.0 ** math.ceil(math.log2(peak / PROJECTION_COORDINATE_LIMIT))
+    corral, weights, iterations = _project_to_hull(point / scale, verts)
     projection = weights @ verts[corral]
-    distance = float(np.linalg.norm(point - projection))
+    residual = point - projection
+    distance = scale * float(np.linalg.norm(residual / scale))
+    if not math.isfinite(distance):
+        raise ParameterError("point is too far from the hull for its distance to be a float")
     if distance <= MEMBERSHIP_TOLERANCE:
         # distance is already the gap between the point and weights @ verts[corral]
         total = float(weights.sum())
@@ -320,7 +338,7 @@ def membership(
             corral=corral,
             weights=weights,
         )
-    normal = (point - projection) / distance
+    normal = residual / distance
     offset = float(np.max(verts @ normal))
     margin = float(normal @ point - offset)
     if margin <= 0.0:
@@ -335,6 +353,7 @@ def membership(
         iterations=iterations,
         corral=corral,
         weights=weights,
+        margin=margin,
     )
 
 

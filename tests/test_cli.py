@@ -115,6 +115,21 @@ def test_member_singlet_point(capsys):
     assert data["separating"]["normal"] == [0.5, 0.5, 0.5, -0.5]
 
 
+def test_member_far_point_is_verified_outside(capsys):
+    # squared distances to this point overflow; it is projected from a
+    # scaled copy, and the hyperplane is still checked on every vertex
+    code, out, err = run(
+        capsys, ["member", "--polytope", "bell:3", "--point", "[1e300,0,0]", "--format", "json"]
+    )
+    assert code == 0
+    assert err == ""
+    data = json.loads(out)
+    assert data["inside"] is False
+    assert data["distance"] == 1e300
+    assert data["separating"]["offset"] == 1.0
+    assert data["separating"]["normal"][0] == 1.0
+
+
 def test_facet_check_chsh(capsys):
     code, out, _ = run(
         capsys,
@@ -335,6 +350,35 @@ def test_guard_env_override(capsys, monkeypatch):
     assert json.loads(out)["max_value"] == 15.0
 
 
+def test_guard_env_is_read_on_every_call(capsys, monkeypatch):
+    # main keeps one parser per BELLBOUND_GUARD value, so each call in one
+    # process still sees the environment as it is at that call
+    argv = ["classical-bound", "--ineq", "cliqueweb:12,3,4", "--format", "json"]
+    monkeypatch.delenv("BELLBOUND_GUARD", raising=False)
+    code, out, _ = run(capsys, argv)
+    assert code == 0 and json.loads(out)["max_value"] == 15.0
+    monkeypatch.setenv("BELLBOUND_GUARD", "10")
+    code, out, err = run(capsys, argv)
+    assert code == 1 and out == ""
+    assert "guard of 10" in json.loads(err)["message"]
+    monkeypatch.setenv("BELLBOUND_GUARD", "15")
+    code, out, _ = run(capsys, argv)
+    assert code == 0 and json.loads(out)["evaluations"] == 2**14
+    monkeypatch.setenv("BELLBOUND_GUARD", "abc")
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and "usage:" in captured.err
+    assert "Traceback" not in captured.err
+    monkeypatch.setenv("BELLBOUND_GUARD", "10")
+    code, _, err = run(capsys, argv)
+    assert code == 1 and "guard of 10" in json.loads(err)["message"]
+    monkeypatch.delenv("BELLBOUND_GUARD")
+    code, _, err = run(capsys, argv + ["--guard", "14"])
+    assert code == 1 and "guard of 14" in json.loads(err)["message"]
+
+
 BAD_VALUE_INEQ = json.dumps(
     {"mode": "complete", "n_left": 2, "n_right": 0, "rhs": 1.0,
      "coefficients": [{"i": 0, "j": 1, "value": "x"}]}
@@ -391,6 +435,7 @@ def test_geometry_commands_default_to_the_vertex_guard(capsys, monkeypatch, over
         (None, ["qvalue", "--ineq", "triangle", "--vectors", "[[1, 0], [NaN, 0], [0, 1]]"], 1),
         (None, ["member", "--polytope", "bell3", "--point", '["a", 0, 0]'], 1),
         (None, ["member", "--polytope", "bell3", "--point", "[NaN, 0, 0]"], 1),
+        (None, ["member", "--polytope", "bell:4", "--point", "[1e308,1e308,-1e308,1e308,1e308,1e308]"], 1),
         (None, ["classical-bound", "--ineq", _ineq_json(j=1.5)], 1),
         (None, ["classical-bound", "--ineq", _ineq_json(n_left=3.7)], 1),
         (None, ["classical-bound", "--ineq", _ineq_json(i=True, j=2)], 1),

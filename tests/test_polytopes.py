@@ -206,6 +206,65 @@ def test_projection_stops_when_extreme_vertex_is_in_corral():
     assert (vertices(spec) @ normal <= offset + 1e-12).all()
 
 
+MARGIN_SPECS = [
+    PolytopeSpec.bell(3),
+    PolytopeSpec.bell(6),
+    PolytopeSpec.cut(5),
+    PolytopeSpec.cor(4),
+    PolytopeSpec.bell_bipartite(2, 3),
+]
+
+
+@pytest.mark.parametrize("spec", MARGIN_SPECS, ids=lambda s: f"{s.kind}{s.n}{s.m or ''}")
+def test_margin_bounds_the_outside_distance_from_below(spec):
+    # margin = normal . point - offset, and every vertex has normal . v <=
+    # offset, so the hull lies at least margin from the point; distance is
+    # measured to a hull point, so it bounds from above.  At the optimal
+    # projection the two agree in real arithmetic, so their float values
+    # may cross by the rounding of normal . point, well under 1e-12 |point|.
+    rng = np.random.default_rng(spec.ambient_dim)
+    verts = vertices(spec).astype(float)
+    outside = 0
+    for scale in (0.5, 1.5, 3.0, 100.0):
+        for _ in range(10):
+            point = rng.normal(size=spec.ambient_dim) * scale
+            cert = membership(spec, point)
+            if cert.inside:
+                assert cert.margin is None
+                continue
+            outside += 1
+            normal, offset = cert.separating.normal, cert.separating.offset
+            assert cert.margin == normal @ point - offset
+            assert (verts @ normal <= offset).all()
+            rounding = 1e-12 * (1.0 + np.linalg.norm(point))
+            assert 0.0 < cert.margin <= cert.distance + rounding
+            assert cert.distance - cert.margin <= 1e3 * rounding
+    assert outside >= 20
+
+
+def test_far_points_get_a_verified_outside_answer():
+    spec = PolytopeSpec.bell(5)
+    verts = vertices(spec).astype(float)
+    for magnitude in (1e140, 1e160, 1e300, 1e307):
+        point = np.zeros(spec.ambient_dim)
+        point[0], point[2], point[6] = magnitude, 1.0, -magnitude
+        cert = membership(spec, point)
+        assert not cert.inside
+        assert math.isfinite(cert.distance)
+        assert cert.distance == pytest.approx(math.sqrt(2.0) * magnitude, rel=1e-12)
+        normal, offset = cert.separating.normal, cert.separating.offset
+        assert (verts @ normal <= offset).all()
+        assert 0.0 < cert.margin <= cert.distance * (1.0 + 1e-12)
+    cert = membership(PolytopeSpec.bell(3), [1e300, 0.0, 0.0])
+    assert not cert.inside and cert.distance == 1e300 and cert.margin > 0.0
+
+
+def test_points_whose_distance_overflows_are_refused():
+    point = [1e308, 1e308, -1e308, 1e308, 1e308, 1e308]
+    with pytest.raises(ParameterError, match="too far"):
+        membership(PolytopeSpec.bell(4), point)
+
+
 def test_membership_dimension_check():
     with pytest.raises(DimensionError):
         membership(PolytopeSpec.bell(3), np.zeros(4))
