@@ -374,12 +374,15 @@ def _cmd_gram(args) -> int:
     ineq = load_inequality(args.ineq)
     if ineq.mode != MODE_COMPLETE:
         ineq = embed_in_complete(ineq)
+    # the bound is enumerated first, so the guard refuses before the ascent runs
+    bound = classical_bound(ineq, guard=args.guard).max_value
+    if bound <= 0:
+        raise ParameterError("classical bound must be positive to take the ratio")
     n = ineq.variable_count
     dim = args.dim if args.dim is not None else n
     result = gram_ascent(
         ineq.coefficients, n, dim=dim, restarts=args.restarts, seed=args.seed
     )
-    bound = classical_bound(ineq, guard=args.guard).max_value
     payload = {
         "objective": result.objective,
         "ratio": result.objective / bound,

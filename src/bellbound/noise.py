@@ -120,13 +120,17 @@ def noise_quantity(ineq: PairwiseInequality, guard: int = DEFAULT_GUARD) -> Nois
     )
 
 
-def _require_bound_one(ineq: PairwiseInequality, guard: int):
+def _noise_terms(
+    ineq: PairwiseInequality, config: UnitVectorConfig, guard: int
+) -> tuple[float, float]:
+    """(N, Q) of an inequality that must be normalized to classical bound 1."""
     bound = classical_bound(ineq, guard=guard).max_value
     if abs(bound - 1.0) > _NORMALIZATION_TOL:
         raise ParameterError(
             f"threshold formulas require an inequality normalized to classical "
             f"bound 1, got {bound}"
         )
+    return noise_quantity(ineq, guard=guard).value, quantum_value(ineq, config).raw_sum
 
 
 def triangle_threshold(config: UnitVectorConfig | None = None) -> ThresholdReport:
@@ -144,17 +148,9 @@ def triangle_threshold(config: UnitVectorConfig | None = None) -> ThresholdRepor
         raise ParameterError(f"expected 3 vectors, got {len(config)}")
     gram = config.gram()
     q = float(-(gram[0, 1] + gram[0, 2] + gram[1, 2]))
-    if q <= 1.0:
-        return ThresholdReport(
-            eta_threshold=1.0,
-            violation_possible=False,
-            source="triangle",
-            quantum_sum=q,
-            noise_quantity=1.0,
-        )
     return ThresholdReport(
-        eta_threshold=2.0 / (q + 1.0),
-        violation_possible=True,
+        eta_threshold=2.0 / (q + 1.0) if q > 1.0 else 1.0,
+        violation_possible=q > 1.0,
         source="triangle",
         quantum_sum=q,
         noise_quantity=1.0,
@@ -194,9 +190,7 @@ def partitioned_threshold(
     Q = sum b_ij x_i . x_j and N the noise quantity, violation occurs
     for eta (|Q| + N) > 1 + N, so the threshold is (N + 1) / (N + |Q|).
     """
-    _require_bound_one(ineq, guard)
-    n = noise_quantity(ineq, guard=guard).value
-    q = quantum_value(ineq, config).raw_sum
+    n, q = _noise_terms(ineq, config, guard)
     denominator = n + abs(q)
     threshold = (n + 1.0) / denominator if denominator > 0 else float("inf")
     # (N+1)/(N+|Q|) < 1 exactly when |Q| > 1; a quantum sum at or below
@@ -223,7 +217,5 @@ def noisy_violation(
     """
     if not (0.0 < eta <= 1.0):
         raise ParameterError(f"eta must lie in (0, 1], got {eta}")
-    _require_bound_one(ineq, guard)
-    n = noise_quantity(ineq, guard=guard).value
-    q = quantum_value(ineq, config).raw_sum
+    n, q = _noise_terms(ineq, config, guard)
     return eta * abs(q) - (1.0 - eta) * n

@@ -3,8 +3,14 @@
 A web W(p, r) with deficiency q = p - 2r - 1 is the circulant graph on
 vertices 0..p-1 whose edges join vertices at circular distance r+1
 through floor(p/2); the antiweb is its complement in K_p, the circulant
-at distances 1 through r.  Attaching a q-clique to the web by all cross
+at distances 1 through r.  Both are built by one circulant rule, from
+offsets r+1..r+q and 1..r.  Attaching a q-clique to the web by all cross
 pairs yields a one-party inequality with tight classical bound q(r+1).
+
+verify_alon_theorem checks the antiweb cut-size bounds of Alon et al.
+(Invent. Math. 163, 499, 2006) on every subset of at most p/2 vertices,
+as int64 array operations on blocks of subsets: a 0/1 table times the
+antiweb's adjacency matrix gives each subset's inner edges and cut.
 """
 
 from __future__ import annotations
@@ -12,10 +18,14 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 
+import numpy as np
+
 from .errors import DimensionError, ParameterError, check_guard, json_int
 from .inequalities import MODE_COMPLETE, PairwiseInequality
 
 ALON_GUARD = 20
+# Subsets per block of the Alon check: bounds its memory near the guard.
+_ALON_CHUNK = 1 << 12
 
 
 @dataclass(frozen=True)
@@ -78,30 +88,24 @@ class EdgeSet:
         return json.dumps(self.to_json_dict(), indent=indent, sort_keys=True)
 
 
+def _circulant(p: int, offsets: range) -> EdgeSet:
+    """Circulant graph joining each vertex i to i + d (mod p) for d in offsets."""
+    edges = {(min(i, (i + d) % p), max(i, (i + d) % p)) for i in range(p) for d in offsets}
+    return EdgeSet(n=p, edges=tuple(sorted(edges)))
+
+
 def web_edges(spec: WebSpec) -> EdgeSet:
     """Edges of W(p, r): offsets r+1 .. r+q from every vertex, deduplicated.
 
     The offset range is symmetric around p/2, so each undirected edge is
     produced twice and the set has exactly p*q/2 members.
     """
-    edges = set()
-    for i in range(spec.p):
-        for off in range(spec.r + 1, spec.r + spec.q + 1):
-            j = (i + off) % spec.p
-            edges.add((min(i, j), max(i, j)))
-    return EdgeSet(n=spec.p, edges=tuple(sorted(edges)))
+    return _circulant(spec.p, range(spec.r + 1, spec.r + spec.q + 1))
 
 
 def antiweb_edges(spec: WebSpec) -> EdgeSet:
-    """Complement of the web in K_p: circular distances 1 .. r."""
-    web = set(web_edges(spec).edges)
-    edges = tuple(
-        (i, j)
-        for i in range(spec.p)
-        for j in range(i + 1, spec.p)
-        if (i, j) not in web
-    )
-    return EdgeSet(n=spec.p, edges=edges)
+    """Complement of the web in K_p: offsets 1 .. r, so p*r edges."""
+    return _circulant(spec.p, range(1, spec.r + 1))
 
 
 def cut_edges(edges: EdgeSet, subset: frozenset[int] | set[int]) -> tuple[tuple[int, int], ...]:
@@ -172,7 +176,15 @@ class AlonReport:
 
 
 def verify_alon_theorem(spec: WebSpec, guard: int = ALON_GUARD) -> AlonReport:
-    """Check the antiweb cut bounds over all subsets up to size p/2."""
+    """Check the antiweb cut bounds over all subsets up to size p/2.
+
+    Subsets are taken in increasing bitmask order, _ALON_CHUNK masks at a
+    time, as a 0/1 table s with one row per subset.  With A the antiweb's
+    adjacency matrix, rowsum(s * (s @ A)) counts twice the edges inside S,
+    so the cut is s @ deg minus that count; S is a clique when the count is
+    |S|(|S|-1), and a circular interval when its row changes bit exactly
+    twice around the ring.
+    """
     p, r = spec.p, spec.r
     if r < 1:
         raise ParameterError("the cut-size bounds require r >= 1")
@@ -180,52 +192,33 @@ def verify_alon_theorem(spec: WebSpec, guard: int = ALON_GUARD) -> AlonReport:
         raise ParameterError("the cut-size bounds require p >= 2r + 3")
     check_guard(p, guard, "web vertices")
 
-    full = (1 << p) - 1
-    adjacency = []
-    for i in range(p):
-        mask = 0
-        for d in range(1, r + 1):
-            mask |= 1 << ((i + d) % p)
-            mask |= 1 << ((i - d) % p)
-        adjacency.append(mask)
+    adjacency = np.zeros((p, p), dtype=np.int64)
+    for i, j in antiweb_edges(spec).edges:
+        adjacency[i, j] = adjacency[j, i] = 1
+    degree = adjacency.sum(axis=1)
+    bits = np.arange(p, dtype=np.int64)
 
-    checked = 0
-    equality_small = 0
-    equality_large = 0
+    checked = equality_small = equality_large = 0
     violations: list[AlonViolation] = []
-
-    for s_mask in range(1, 1 << p):
-        size = s_mask.bit_count()
-        if size > p // 2:
-            continue
-        checked += 1
-        cut = 0
-        rest = s_mask
-        while rest:
-            i = (rest & -rest).bit_length() - 1
-            rest &= rest - 1
-            cut += (adjacency[i] & ~s_mask & full).bit_count()
-
-        if size <= r:
-            bound = size * (2 * r + 1 - size)
-            condition = all(
-                (s_mask & ~(1 << i)) & ~adjacency[i] == 0
-                for i in range(p)
-                if s_mask >> i & 1
-            )
-            if cut == bound:
-                equality_small += 1
-        else:
-            bound = r * (r + 1)
-            rotated = ((s_mask << 1) | (s_mask >> (p - 1))) & full
-            condition = (s_mask ^ rotated).bit_count() == 2
-            if cut == bound:
-                equality_large += 1
-
-        if cut < bound or (cut == bound) != condition:
-            if len(violations) < 32:
-                subset = tuple(i for i in range(p) if s_mask >> i & 1)
-                violations.append(AlonViolation(subset, cut, bound, condition))
+    for start in range(1, 1 << p, _ALON_CHUNK):
+        masks = np.arange(start, min(start + _ALON_CHUNK, 1 << p), dtype=np.int64)
+        s = (masks[:, None] >> bits) & 1
+        size = s.sum(axis=1)
+        s, size = s[size <= p // 2], size[size <= p // 2]
+        inner = (s * (s @ adjacency)).sum(axis=1)
+        cut = s @ degree - inner
+        small = size <= r
+        bound = np.where(small, size * (2 * r + 1 - size), r * (r + 1))
+        clique = inner == size * (size - 1)
+        interval = (s != np.roll(s, 1, axis=1)).sum(axis=1) == 2
+        condition = np.where(small, clique, interval)
+        tight = cut == bound
+        checked += len(s)
+        equality_small += int(np.count_nonzero(tight & small))
+        equality_large += int(np.count_nonzero(tight & ~small))
+        for k in np.flatnonzero((cut < bound) | (tight != condition))[: 32 - len(violations)]:
+            subset = tuple(int(i) for i in np.flatnonzero(s[k]))
+            violations.append(AlonViolation(subset, int(cut[k]), int(bound[k]), bool(condition[k])))
 
     return AlonReport(
         spec=spec,

@@ -294,6 +294,18 @@ def test_gram_byte_determinism(capsys):
     assert first == second
 
 
+def test_gram_refuses_an_oversized_inequality_before_the_ascent(capsys, monkeypatch):
+    def ascent_must_not_run(*args, **kwargs):
+        raise AssertionError("gram_ascent ran before the guard refused")
+
+    monkeypatch.delenv("BELLBOUND_GUARD", raising=False)
+    monkeypatch.setattr("bellbound.cli.gram_ascent", ascent_must_not_run)
+    code, out, err = run(capsys, ["gram", "--ineq", "cliqueweb:61,2,29"])
+    assert code == 1
+    assert out == ""
+    assert json.loads(err)["error"] == "ResourceLimitError"
+
+
 def test_twelve_digit_formatting(capsys):
     _, out, _ = run(
         capsys,
@@ -385,6 +397,11 @@ BAD_VALUE_INEQ = json.dumps(
 )
 
 
+ZERO_BOUND_INEQ = json.dumps(
+    {"mode": "complete", "n_left": 3, "n_right": 0, "coefficients": [], "rhs": 1}
+)
+
+
 def _ineq_json(n_left=3, i=0, j=1):
     return json.dumps(
         {"mode": "complete", "n_left": n_left, "n_right": 0, "rhs": 1,
@@ -441,6 +458,7 @@ def test_geometry_commands_default_to_the_vertex_guard(capsys, monkeypatch, over
         (None, ["classical-bound", "--ineq", _ineq_json(i=True, j=2)], 1),
         (None, ["classical-bound", "--ineq", _ineq_json(j="1")], 1),
         (None, ["classical-bound", "--ineq", "cliqueweb:5,2"], 1),
+        (None, ["gram", "--ineq", ZERO_BOUND_INEQ], 1),
     ],
 )
 def test_bad_input_exits_without_traceback(capsys, monkeypatch, guard_env, argv, expected):

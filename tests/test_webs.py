@@ -21,7 +21,15 @@ from bellbound import (
     web_edges,
 )
 
-SPECS = [WebSpec(5, 2, 1), WebSpec(7, 2, 2), WebSpec(8, 3, 2), WebSpec(12, 3, 4)]
+# (4, 3, 0) has r = 0: an empty antiweb, and the web is K_4
+SPECS = [
+    WebSpec(5, 2, 1),
+    WebSpec(7, 2, 2),
+    WebSpec(8, 3, 2),
+    WebSpec(12, 3, 4),
+    WebSpec(4, 3, 0),
+    WebSpec(10, 3, 3),
+]
 
 
 def test_webspec_validation():
