@@ -1,7 +1,9 @@
 """Recompute every recorded reference value and show the score.
 
 The registry pins each headline number with its source tag, expected
-value, and tolerance; each row is recomputed from scratch on demand.
+value, and tolerance.  Each call recomputes every row; a quantity that
+several rows share (a theta scan, an enumeration, a membership answer)
+is computed once per call.
 The command line exposes the same table as `bellbound reproduce-paper`.
 """
 

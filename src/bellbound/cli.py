@@ -132,24 +132,21 @@ def parse_polytope(name: str) -> PolytopeSpec:
     party sizes (bell22 is the 2x2 polytope); use bell:12 for twelve
     variables on one side.
     """
+    # the names bell, cut and cor are the one-sided PolytopeSpec kinds
     m = _POLYTOPE_EXPLICIT.match(name)
     if m:
         kind, a, b = m.group(1), int(m.group(2)), m.group(3)
-        if kind == "bell" and b is not None:
-            return PolytopeSpec.bell_bipartite(a, int(b))
-        if b is not None:
-            raise ParameterError(f"{kind} polytopes take a single size")
+        if b is None:
+            return PolytopeSpec(kind, a)
         if kind == "bell":
-            return PolytopeSpec.bell(a)
-        return PolytopeSpec.cut(a) if kind == "cut" else PolytopeSpec.cor(a)
+            return PolytopeSpec.bell_bipartite(a, int(b))
+        raise ParameterError(f"{kind} polytopes take a single size")
     m = _POLYTOPE_COMPACT.match(name)
     if m:
         kind, digits = m.group(1), m.group(2)
         if kind == "bell" and len(digits) == 2:
             return PolytopeSpec.bell_bipartite(int(digits[0]), int(digits[1]))
-        if kind == "bell":
-            return PolytopeSpec.bell(int(digits))
-        return PolytopeSpec.cut(int(digits)) if kind == "cut" else PolytopeSpec.cor(int(digits))
+        return PolytopeSpec(kind, int(digits))
     raise ParameterError(
         f"unknown polytope {name!r}: use bell3, bell22, cut4, cor3, bell:N or bell:N,M"
     )
@@ -403,11 +400,7 @@ def _cmd_reproduce(args) -> int:
     if args.format == "json":
         print(json.dumps(_rounded(records), sort_keys=True))
     elif args.format == "csv":
-        writer = csv.writer(sys.stdout, lineterminator="\n")
-        header = list(records[0].keys()) if records else []
-        writer.writerow(header)
-        for rec in records:
-            writer.writerow([_cell(rec[k]) for k in header])
+        _emit(args, {}, records)
     else:
         width = max(len(r.claim_id) for r in rows) if rows else 8
         for r in rows:
@@ -437,7 +430,6 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument(
         "--guard",
         type=int,
-        default=os.environ.get("BELLBOUND_GUARD"),
         help=(
             f"variables allowed before a computation is refused (default {DEFAULT_GUARD}, "
             f"{VERTEX_GUARD} for member and facet-check, {GENERATOR_GUARD} generators "
@@ -544,19 +536,23 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-@functools.lru_cache(maxsize=8)
-def _parser(guard_env: str | None) -> argparse.ArgumentParser:
-    """The parser for one BELLBOUND_GUARD value, which sets the --guard default.
-
-    parse_args leaves a parser unchanged, so each one is built once per
-    process; a changed environment picks another cache entry.
-    """
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser, built once per process: parse_args leaves it unchanged."""
     return build_parser()
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = _parser(os.environ.get("BELLBOUND_GUARD")).parse_args(argv)
-    if args.guard is None:
+    parser = _parser()
+    args = parser.parse_args(argv)
+    # the flag wins, then BELLBOUND_GUARD as it is at this call, then the command's default
+    guard_env = os.environ.get("BELLBOUND_GUARD")
+    if args.guard is None and guard_env is not None:
+        try:
+            args.guard = int(guard_env)
+        except ValueError:
+            parser.error(f"BELLBOUND_GUARD must be an integer, got {guard_env!r}")
+    elif args.guard is None:
         # geometry and operator subcommands build whole tables, so their default is smaller
         args.guard = getattr(args, "default_guard", DEFAULT_GUARD)
     try:

@@ -50,3 +50,13 @@ def json_int(value, what: str) -> int:
     if isinstance(value, float) and value.is_integer():
         return int(value)
     raise ParameterError(f"{what} must be an integer, got {value!r}")
+
+
+def json_number(value, what: str) -> float:
+    """A JSON number as a float; strings and booleans are refused, not converted."""
+    if isinstance(value, (int, float)) and not isinstance(value, bool):
+        try:
+            return float(value)
+        except OverflowError as exc:
+            raise ParameterError(f"{what} is too large for a float") from exc
+    raise ParameterError(f"{what} must be a number, got {value!r}")

@@ -19,7 +19,7 @@ from typing import Iterable, Mapping
 
 from . import enumeration
 from .enumeration import DEFAULT_GUARD
-from .errors import DimensionError, ParameterError, json_int
+from .errors import DimensionError, ParameterError, json_int, json_number
 
 MODE_COMPLETE = "complete"
 MODE_BIPARTITE = "bipartite"
@@ -110,13 +110,13 @@ class PairwiseInequality:
     def from_json_dict(cls, data: dict) -> "PairwiseInequality":
         try:
             coeffs = {
-                (json_int(c["i"], "i"), json_int(c["j"], "j")): float(c["value"])
+                (json_int(c["i"], "i"), json_int(c["j"], "j")): json_number(c["value"], "value")
                 for c in data["coefficients"]
             }
             mode = str(data["mode"])
             n_left = json_int(data["n_left"], "n_left")
             n_right = json_int(data["n_right"], "n_right")
-            rhs = float(data["rhs"])
+            rhs = json_number(data["rhs"], "rhs")
         except KeyError as exc:
             raise ParameterError(f"inequality JSON is missing field {exc}") from exc
         except (TypeError, ValueError) as exc:

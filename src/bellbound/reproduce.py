@@ -1,13 +1,18 @@
 """Registry of the headline numeric claims, runnable as one table.
 
 Each claim binds an expected value, a tolerance, and a closure that
-recomputes the number from scratch through the public API.  The CLI
-renders the table and fails if any row does; tests reuse the registry
-so the table and the suite cannot drift apart.
+recomputes the number through the public API.  A quantity that several
+rows read (a theta scan, the (12,3,4) enumeration, the 2x2 singlet-point
+membership) is computed once per run_claims call and dropped when the
+call returns, so every call recomputes from scratch.  The CLI renders
+the table and fails if any row does; the acceptance suite asserts
+through the registry so the table and the suite cannot drift apart.
 """
 
 from __future__ import annotations
 
+import dataclasses
+import functools
 import math
 from dataclasses import dataclass
 from typing import Callable
@@ -16,6 +21,7 @@ import numpy as np
 
 from .errors import BellboundError
 from .inequalities import (
+    ClassicalBoundResult,
     PairwiseInequality,
     SignAssignment,
     chsh,
@@ -41,11 +47,18 @@ from .optimize import (
     FAMILY_BOUQUET12,
     FAMILY_BOUQUET2K1,
     GROTHENDIECK,
+    ThetaScanResult,
     gram_ascent,
     ratio_probe,
     scan_theta,
 )
-from .polytopes import PolytopeSpec, ambient_coefficients, facet_check, membership
+from .polytopes import (
+    MembershipCertificate,
+    PolytopeSpec,
+    ambient_coefficients,
+    facet_check,
+    membership,
+)
 from .quantum import (
     UnitVectorConfig,
     bouquet,
@@ -75,16 +88,7 @@ class ReproductionRow:
     error: str | None = None
 
     def to_json_dict(self) -> dict:
-        return {
-            "claim_id": self.claim_id,
-            "description": self.description,
-            "source": self.source,
-            "expected": self.expected,
-            "computed": self.computed,
-            "tolerance": self.tolerance,
-            "passed": self.passed,
-            "error": self.error,
-        }
+        return dataclasses.asdict(self)
 
 
 def chsh_settings() -> UnitVectorConfig:
@@ -117,21 +121,40 @@ def _bool(value: bool) -> float:
     return 1.0 if value else 0.0
 
 
-def _chsh_classical() -> float:
-    return classical_bound(chsh()).max_value
+# Quantities that several rows read.  Each is computed on first use in a
+# run_claims call; run_claims clears these caches when it returns.
 
 
-def _triangle_classical() -> float:
-    return classical_bound(triangle()).max_value
+@functools.cache
+def _enumerated(
+    make: Callable[..., PairwiseInequality], *args
+) -> tuple[PairwiseInequality, ClassicalBoundResult]:
+    """The inequality make(*args) and its enumerated classical bound."""
+    ineq = make(*args)
+    return ineq, classical_bound(ineq)
 
 
-def _cliqueweb_classical(p: int, q: int, r: int) -> float:
-    return classical_bound(clique_web_inequality(WebSpec(p, q, r))).max_value
+@functools.cache
+def _scan(family: str, k: int | None = None) -> ThetaScanResult:
+    return scan_theta(family, k=k)
+
+
+@functools.cache
+def _bell22_singlet() -> MembershipCertificate:
+    """Membership of the scaled singlet point in the 2x2 polytope."""
+    s = math.sqrt(2.0) / 2.0
+    return membership(PolytopeSpec.bell_bipartite(2, 2), np.array([s, s, s, -s]))
+
+
+_SHARED = (_enumerated, _scan, _bell22_singlet)
+
+
+def _classical(make: Callable[..., PairwiseInequality], *args) -> float:
+    return _enumerated(make, *args)[1].max_value
 
 
 def _cliqueweb_attained() -> float:
-    ineq = clique_web_inequality(WebSpec(12, 3, 4))
-    result = classical_bound(ineq)
+    ineq, result = _enumerated(clique_web_inequality, WebSpec(12, 3, 4))
     return _bool(evaluate(ineq, result.argmax) == ineq.rhs == result.max_value)
 
 
@@ -216,37 +239,16 @@ def _triangle_quantum() -> float:
     return quantum_value(triangle(), planar_ring(3)).value
 
 
-def _bouquet_dot_deviation(offset: int, closed_form) -> float:
+def _ring_dot_deviation(
+    p: int, q: int, offset: int, closed_form: Callable[[float], float]
+) -> float:
+    """Largest gap between the p-ring dots x_i . x_(i+offset) and their closed form."""
     worst = 0.0
     for theta in np.linspace(0.01, math.pi / 2 - 0.01, 37):
-        config = bouquet(12, 3, float(theta))
-        gram = config.gram()
-        for i in range(12):
-            j = (i + offset) % 12
-            worst = max(worst, abs(gram[i, j] - closed_form(theta)))
-    return worst
-
-
-def _bouquet_dot_offset6() -> float:
-    return _bouquet_dot_deviation(6, lambda t: math.cos(2 * t))
-
-
-def _bouquet_dot_offset5() -> float:
-    return _bouquet_dot_deviation(
-        5, lambda t: 1.0 - 2.0 * math.cos(math.pi / 12) ** 2 * math.sin(t) ** 2
-    )
-
-
-def _bouquet_2k1_dot() -> float:
-    k = 5
-    worst = 0.0
-    for theta in np.linspace(0.01, math.pi / 2 - 0.01, 37):
-        config = bouquet(2 * k + 1, 2, float(theta))
-        gram = config.gram()
-        closed = 1.0 - 2.0 * math.cos(math.pi / (4 * k + 2)) ** 2 * math.sin(theta) ** 2
-        for i in range(2 * k + 1):
-            j = (i + k) % (2 * k + 1)
-            worst = max(worst, abs(gram[i, j] - closed))
+        gram = bouquet(p, q, float(theta)).gram()
+        closed = closed_form(theta)
+        for i in range(p):
+            worst = max(worst, abs(gram[i, (i + offset) % p] - closed))
     return worst
 
 
@@ -258,30 +260,6 @@ def _v12_formula_vs_construction() -> float:
         built = quantum_value(ineq, bouquet(12, 3, float(theta))).value
         worst = max(worst, abs(built - v12_formula(float(theta))))
     return worst
-
-
-def _scan12_beats_kg3_upper() -> float:
-    return _bool(scan_theta(FAMILY_BOUQUET12).best_value > GROTHENDIECK.kg3_upper)
-
-
-def _scan12_peak() -> float:
-    return scan_theta(FAMILY_BOUQUET12).best_value
-
-
-def _scan12_theta() -> float:
-    return scan_theta(FAMILY_BOUQUET12).best_theta
-
-
-def _scan11_peak() -> float:
-    return scan_theta(FAMILY_BOUQUET2K1, k=5).best_value
-
-
-def _scan_k1000_peak() -> float:
-    return scan_theta(FAMILY_BOUQUET2K1, k=1000).best_value
-
-
-def _scan_k1000_theta() -> float:
-    return scan_theta(FAMILY_BOUQUET2K1, k=1000).best_theta
 
 
 def _tsirelson_single() -> float:
@@ -302,13 +280,8 @@ def _tsirelson_chsh_deviation() -> float:
     )
 
 
-def _singlet_point() -> np.ndarray:
-    s = math.sqrt(2.0) / 2.0
-    return np.array([s, s, s, -s])
-
-
 def _bell22_outside() -> float:
-    cert = membership(PolytopeSpec.bell_bipartite(2, 2), _singlet_point())
+    cert = _bell22_singlet()
     if cert.inside or cert.separating is None:
         return 0.0
     # The separating direction recovers the 2x2 coefficient pattern.
@@ -318,33 +291,14 @@ def _bell22_outside() -> float:
     return _bool(abs(aligned - 1.0) < 1e-7)
 
 
-def _bell22_distance() -> float:
-    return membership(PolytopeSpec.bell_bipartite(2, 2), _singlet_point()).distance
-
-
 def _bell3_outside() -> float:
     cert = membership(PolytopeSpec.bell(3), np.array([-0.5, -0.5, -0.5]))
     return _bool(not cert.inside and cert.separating is not None)
 
 
-def _chsh_facet() -> float:
-    spec = PolytopeSpec.bell_bipartite(2, 2)
-    coeffs, rhs = ambient_coefficients(spec, chsh())
+def _is_facet(spec: PolytopeSpec, ineq) -> float:
+    coeffs, rhs = ambient_coefficients(spec, ineq)
     return _bool(facet_check(spec, coeffs, rhs).is_facet)
-
-
-def _triangle_facet() -> float:
-    spec = PolytopeSpec.bell(3)
-    coeffs, rhs = ambient_coefficients(spec, triangle())
-    return _bool(facet_check(spec, coeffs, rhs).is_facet)
-
-
-def _cliqueweb_cut_facet() -> float:
-    web = WebSpec(5, 2, 1)
-    spec = PolytopeSpec.cut(web.p + web.q)
-    coeffs, rhs = ambient_coefficients(spec, to_cut_form(clique_web_inequality(web)))
-    report = facet_check(spec, coeffs, rhs)
-    return _bool(report.valid and report.is_facet)
 
 
 def _werner_equal_settings() -> float:
@@ -368,7 +322,7 @@ def _triangle_threshold_value() -> float:
 
 def _cliqueweb_threshold_k500() -> float:
     k = 500
-    scan = scan_theta(FAMILY_BOUQUET2K1, k=k)
+    scan = _scan(FAMILY_BOUQUET2K1, k)
     spec = WebSpec(2 * k + 1, 2, k - 1)
     return cliqueweb_threshold(spec, scan.best_value).eta_threshold
 
@@ -386,14 +340,9 @@ def _noisy_triangle() -> float:
     return noisy_violation(triangle(), planar_ring(3), 0.9)
 
 
-def _gram_triangle() -> float:
-    result = gram_ascent(triangle().coefficients, 3, dim=2, restarts=16, seed=7)
-    return result.objective / classical_bound(triangle()).max_value
-
-
-def _gram_chsh() -> float:
-    ineq, _ = chsh_embedded()
-    result = gram_ascent(ineq.coefficients, 4, dim=2, restarts=16, seed=7)
+def _gram_ratio(ineq: PairwiseInequality) -> float:
+    """Two-dimensional vector ascent over the classical bound."""
+    result = gram_ascent(ineq.coefficients, ineq.variable_count, dim=2, restarts=16, seed=7)
     return result.objective / classical_bound(ineq).max_value
 
 
@@ -413,7 +362,7 @@ _SQRT2 = math.sqrt(2.0)
 
 _CLAIMS: list[tuple[str, str, str, float, float, Callable[[], float]]] = [
     ("chsh-classical-bound", "2x2 inequality: exact local bound 1",
-     SOURCE_PAPER, 1.0, 0.0, _chsh_classical),
+     SOURCE_PAPER, 1.0, 0.0, lambda: _classical(chsh)),
     ("chsh-sqrt2", "2x2 inequality at the standard settings reaches sqrt(2)",
      SOURCE_PAPER, _SQRT2, 1e-9, _chsh_quantum),
     ("singlet-equal-settings", "equal settings are perfectly anticorrelated",
@@ -421,15 +370,15 @@ _CLAIMS: list[tuple[str, str, str, float, float, Callable[[], float]]] = [
     ("singlet-standard-component", "one standard-settings correlation equals sqrt(2)/2",
      SOURCE_PAPER, _SQRT2 / 2.0, 1e-12, _singlet_component),
     ("triangle-classical-bound", "three-cycle inequality: exact local bound 1",
-     SOURCE_PAPER, 1.0, 0.0, _triangle_classical),
+     SOURCE_PAPER, 1.0, 0.0, lambda: _classical(triangle)),
     ("triangle-3-2", "three-cycle value 3/2 at coplanar 120-degree settings",
      SOURCE_PAPER, 1.5, 1e-12, _triangle_quantum),
     ("cliqueweb-5-2-1-bound", "clique-web (5,2,1): exact local bound 4",
-     SOURCE_DERIVED, 4.0, 0.0, lambda: _cliqueweb_classical(5, 2, 1)),
+     SOURCE_DERIVED, 4.0, 0.0, lambda: _classical(clique_web_inequality, WebSpec(5, 2, 1))),
     ("cliqueweb-7-2-2-bound", "clique-web (7,2,2): exact local bound 6",
-     SOURCE_DERIVED, 6.0, 0.0, lambda: _cliqueweb_classical(7, 2, 2)),
+     SOURCE_DERIVED, 6.0, 0.0, lambda: _classical(clique_web_inequality, WebSpec(7, 2, 2))),
     ("cliqueweb-12-3-4-bound", "clique-web (12,3,4): exact local bound 15",
-     SOURCE_PAPER, 15.0, 0.0, lambda: _cliqueweb_classical(12, 3, 4)),
+     SOURCE_PAPER, 15.0, 0.0, lambda: _classical(clique_web_inequality, WebSpec(12, 3, 4))),
     ("cliqueweb-bound-attained", "clique-web (12,3,4): enumeration argmax attains the bound",
      SOURCE_DERIVED, 1.0, 0.0, _cliqueweb_attained),
     ("cut-form-triangle-rhs", "three-cycle cut form has rhs 2",
@@ -453,11 +402,16 @@ _CLAIMS: list[tuple[str, str, str, float, float, Callable[[], float]]] = [
     ("alon-zero-violations", "antiweb cut bounds hold on all webs with p <= 12, r <= 3",
      SOURCE_PAPER, 0.0, 0.0, _alon_violations),
     ("bouquet-dot-offset6", "12-ring dot at offset 6 equals cos(2 theta)",
-     SOURCE_PAPER, 0.0, 1e-12, _bouquet_dot_offset6),
+     SOURCE_PAPER, 0.0, 1e-12,
+     lambda: _ring_dot_deviation(12, 3, 6, lambda t: math.cos(2 * t))),
     ("bouquet-dot-offset5", "12-ring dot at offset 5 equals 1 - 2 cos^2(pi/12) sin^2(theta)",
-     SOURCE_PAPER, 0.0, 1e-12, _bouquet_dot_offset5),
+     SOURCE_PAPER, 0.0, 1e-12,
+     lambda: _ring_dot_deviation(
+         12, 3, 5, lambda t: 1.0 - 2.0 * math.cos(math.pi / 12) ** 2 * math.sin(t) ** 2)),
     ("bouquet-2k1-dot", "(2k+1)-ring web dot matches its closed form at k = 5",
-     SOURCE_PAPER, 0.0, 1e-12, _bouquet_2k1_dot),
+     SOURCE_PAPER, 0.0, 1e-12,
+     lambda: _ring_dot_deviation(
+         11, 2, 5, lambda t: 1.0 - 2.0 * math.cos(math.pi / 22) ** 2 * math.sin(t) ** 2)),
     ("v12-peak", "12-vector bouquet value at theta = 0.32477 pi",
      SOURCE_PAPER, 1.5209, 5e-4, lambda: v12_formula(0.32477 * math.pi)),
     ("v11-peak", "11-vector bouquet value at theta = 0.3303 pi",
@@ -467,17 +421,18 @@ _CLAIMS: list[tuple[str, str, str, float, float, Callable[[], float]]] = [
     ("bouquet-limit-3-2", "large-k bouquet value at pi/3 approaches 3/2",
      SOURCE_PAPER, 1.5, 2e-3, lambda: v2k1_formula(1000, math.pi / 3)),
     ("v12-exceeds-kg3-upper", "12-vector bouquet peak exceeds the 3d ratio bound 1.5163",
-     SOURCE_PAPER, 1.0, 0.0, _scan12_beats_kg3_upper),
+     SOURCE_PAPER, 1.0, 0.0,
+     lambda: _bool(_scan(FAMILY_BOUQUET12).best_value > GROTHENDIECK.kg3_upper)),
     ("scan-b12-peak", "theta scan of the 12-vector bouquet peaks at 1.5209",
-     SOURCE_PAPER, 1.5209, 5e-4, _scan12_peak),
+     SOURCE_PAPER, 1.5209, 5e-4, lambda: _scan(FAMILY_BOUQUET12).best_value),
     ("scan-b12-theta", "that peak sits at theta = 0.32477 pi",
-     SOURCE_PAPER, 0.32477 * math.pi, 1e-3, _scan12_theta),
+     SOURCE_PAPER, 0.32477 * math.pi, 1e-3, lambda: _scan(FAMILY_BOUQUET12).best_theta),
     ("scan-b2k1-5-peak", "theta scan at k = 5 peaks at 1.5168",
-     SOURCE_PAPER, 1.5168, 5e-4, _scan11_peak),
+     SOURCE_PAPER, 1.5168, 5e-4, lambda: _scan(FAMILY_BOUQUET2K1, 5).best_value),
     ("scan-b2k1-1000-peak", "theta scan at k = 1000 peaks near 3/2",
-     SOURCE_PAPER, 1.5, 2e-3, _scan_k1000_peak),
+     SOURCE_PAPER, 1.5, 2e-3, lambda: _scan(FAMILY_BOUQUET2K1, 1000).best_value),
     ("scan-b2k1-1000-theta", "that peak sits near theta = pi/3",
-     SOURCE_PAPER, math.pi / 3.0, 2e-3, _scan_k1000_theta),
+     SOURCE_PAPER, math.pi / 3.0, 2e-3, lambda: _scan(FAMILY_BOUQUET2K1, 1000).best_theta),
     ("tsirelson-single-vector", "single-vector realization has correlation 1",
      SOURCE_PAPER, 1.0, 1e-10, _tsirelson_single),
     ("tsirelson-standard-settings", "realization of the standard settings passes all checks",
@@ -485,15 +440,16 @@ _CLAIMS: list[tuple[str, str, str, float, float, Callable[[], float]]] = [
     ("bell22-point-outside", "the scaled singlet point lies outside the 2x2 polytope",
      SOURCE_PAPER, 1.0, 0.0, _bell22_outside),
     ("bell22-point-distance", "its hull distance is sqrt(2) - 1",
-     SOURCE_DERIVED, _SQRT2 - 1.0, 1e-7, _bell22_distance),
+     SOURCE_DERIVED, _SQRT2 - 1.0, 1e-7, lambda: _bell22_singlet().distance),
     ("bell3-point-outside", "(-1/2,-1/2,-1/2) lies outside the three-variable polytope",
      SOURCE_PAPER, 1.0, 0.0, _bell3_outside),
     ("chsh-facet", "the 2x2 inequality is a facet of its polytope",
-     SOURCE_PAPER, 1.0, 0.0, _chsh_facet),
+     SOURCE_PAPER, 1.0, 0.0, lambda: _is_facet(PolytopeSpec.bell_bipartite(2, 2), chsh())),
     ("triangle-facet", "the three-cycle inequality is a facet of its polytope",
-     SOURCE_PAPER, 1.0, 0.0, _triangle_facet),
+     SOURCE_PAPER, 1.0, 0.0, lambda: _is_facet(PolytopeSpec.bell(3), triangle())),
     ("cliqueweb-cut-facet-5-2-1", "the (5,2,1) cut form is valid and facet-defining on cut(7)",
-     SOURCE_DERIVED, 1.0, 0.0, _cliqueweb_cut_facet),
+     SOURCE_DERIVED, 1.0, 0.0,
+     lambda: _is_facet(PolytopeSpec.cut(7), to_cut_form(clique_web_inequality(WebSpec(5, 2, 1))))),
     ("werner-equal-settings", "visibility 0.8 correlation at equal settings is -0.8",
      SOURCE_PAPER, -0.8, 1e-15, _werner_equal_settings),
     ("symmetry-band-unit-visibility", "the transported band degenerates at visibility 1",
@@ -511,9 +467,9 @@ _CLAIMS: list[tuple[str, str, str, float, float, Callable[[], float]]] = [
     ("noisy-triangle-0.9", "three-cycle violation at visibility 0.9 is 1.25",
      SOURCE_DERIVED, 1.25, 1e-12, _noisy_triangle),
     ("gram-triangle-ratio", "vector ascent on the three-cycle reaches ratio 3/2",
-     SOURCE_PAPER, 1.5, 1e-6, _gram_triangle),
+     SOURCE_PAPER, 1.5, 1e-6, lambda: _gram_ratio(triangle())),
     ("gram-chsh-ratio", "vector ascent on the embedded 2x2 reaches ratio sqrt(2)",
-     SOURCE_PAPER, _SQRT2, 1e-6, _gram_chsh),
+     SOURCE_PAPER, _SQRT2, 1e-6, lambda: _gram_ratio(chsh_embedded()[0])),
     ("planar-bipartite-kg2", "planar bipartite ratios stay within sqrt(2)",
      SOURCE_PAPER, 1.0, 0.0, _planar_bipartite_bound),
     ("ratio-probe-n3-max", "exhaustive 3-variable probe peaks at ratio 3/2",
@@ -529,7 +485,8 @@ def run_claims(selected: list[str] | None = None) -> list[ReproductionRow]:
     """Recompute every claim (or a named subset) and report row by row.
 
     A failure in one computation is caught and reported on its row; it
-    never aborts the rest of the table.
+    never aborts the rest of the table.  Shared quantities are computed
+    once here and none survives the call.
     """
     wanted = set(selected) if selected is not None else None
     if wanted is not None:
@@ -537,27 +494,31 @@ def run_claims(selected: list[str] | None = None) -> list[ReproductionRow]:
         if unknown:
             raise BellboundError(f"unknown claim ids: {sorted(unknown)}")
     rows = []
-    for claim_id, description, source, expected, tolerance, fn in _CLAIMS:
-        if wanted is not None and claim_id not in wanted:
-            continue
-        try:
-            computed = float(fn())
-            passed = bool(abs(computed - expected) <= tolerance)
-            error = None
-        except BellboundError as exc:
-            computed = None
-            passed = False
-            error = str(exc)
-        rows.append(
-            ReproductionRow(
-                claim_id=claim_id,
-                description=description,
-                source=source,
-                expected=expected,
-                computed=computed,
-                tolerance=tolerance,
-                passed=passed,
-                error=error,
+    try:
+        for claim_id, description, source, expected, tolerance, fn in _CLAIMS:
+            if wanted is not None and claim_id not in wanted:
+                continue
+            try:
+                computed = float(fn())
+                passed = bool(abs(computed - expected) <= tolerance)
+                error = None
+            except BellboundError as exc:
+                computed = None
+                passed = False
+                error = str(exc)
+            rows.append(
+                ReproductionRow(
+                    claim_id=claim_id,
+                    description=description,
+                    source=source,
+                    expected=expected,
+                    computed=computed,
+                    tolerance=tolerance,
+                    passed=passed,
+                    error=error,
+                )
             )
-        )
+    finally:
+        for shared in _SHARED:
+            shared.cache_clear()
     return rows

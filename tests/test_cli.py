@@ -322,6 +322,31 @@ def test_reproduce_subset(capsys):
     assert "2/2 claims pass" in out
 
 
+REPRODUCE_PINNED = {
+    "csv": (
+        "claim_id,description,source,expected,computed,tolerance,passed,error\n"
+        "chsh-classical-bound,2x2 inequality: exact local bound 1,PAPER,1,1,0,true,\n"
+        "werner-0.8,three-cycle critical visibility is exactly 0.8,PAPER,0.8,0.8,1e-12,true,\n"
+    ),
+    "json": (
+        '[{"claim_id": "chsh-classical-bound", "computed": 1.0, '
+        '"description": "2x2 inequality: exact local bound 1", "error": null, '
+        '"expected": 1.0, "passed": true, "source": "PAPER", "tolerance": 0.0}, '
+        '{"claim_id": "werner-0.8", "computed": 0.8, '
+        '"description": "three-cycle critical visibility is exactly 0.8", "error": null, '
+        '"expected": 0.8, "passed": true, "source": "PAPER", "tolerance": 1e-12}]\n'
+    ),
+}
+
+
+@pytest.mark.parametrize("fmt", sorted(REPRODUCE_PINNED))
+def test_reproduce_output_is_pinned(capsys, fmt):
+    argv = ["reproduce-paper", "--claims", "chsh-classical-bound,werner-0.8", "--format", fmt]
+    code, out, err = run(capsys, argv)
+    assert code == 0 and err == ""
+    assert out == REPRODUCE_PINNED[fmt]
+
+
 def test_reproduce_all_claims(capsys):
     code, out, _ = run(capsys, ["reproduce-paper", "--format", "json"])
     assert code == 0
@@ -363,8 +388,8 @@ def test_guard_env_override(capsys, monkeypatch):
 
 
 def test_guard_env_is_read_on_every_call(capsys, monkeypatch):
-    # main keeps one parser per BELLBOUND_GUARD value, so each call in one
-    # process still sees the environment as it is at that call
+    # main builds its parser once per process and reads BELLBOUND_GUARD at
+    # each call, so each call sees the environment as it is at that call
     argv = ["classical-bound", "--ineq", "cliqueweb:12,3,4", "--format", "json"]
     monkeypatch.delenv("BELLBOUND_GUARD", raising=False)
     code, out, _ = run(capsys, argv)
@@ -402,11 +427,17 @@ ZERO_BOUND_INEQ = json.dumps(
 )
 
 
-def _ineq_json(n_left=3, i=0, j=1):
+def _ineq_json(n_left=3, i=0, j=1, value=1, rhs=1):
     return json.dumps(
-        {"mode": "complete", "n_left": n_left, "n_right": 0, "rhs": 1,
-         "coefficients": [{"i": i, "j": j, "value": 1}]}
+        {"mode": "complete", "n_left": n_left, "n_right": 0, "rhs": rhs,
+         "coefficients": [{"i": i, "j": j, "value": value}]}
     )
+
+
+STRING_NUMBERS_INEQ = json.dumps(
+    {"mode": "complete", "n_left": 3, "n_right": 0, "rhs": "1",
+     "coefficients": [{"i": 0, "j": 1, "value": "1.5"}, {"i": 1, "j": 2, "value": True}]}
+)
 
 
 @pytest.mark.parametrize(
@@ -457,6 +488,14 @@ def test_geometry_commands_default_to_the_vertex_guard(capsys, monkeypatch, over
         (None, ["classical-bound", "--ineq", _ineq_json(n_left=3.7)], 1),
         (None, ["classical-bound", "--ineq", _ineq_json(i=True, j=2)], 1),
         (None, ["classical-bound", "--ineq", _ineq_json(j="1")], 1),
+        (None, ["classical-bound", "--ineq", STRING_NUMBERS_INEQ], 1),
+        (None, ["classical-bound", "--ineq", _ineq_json(value="1.5")], 1),
+        (None, ["classical-bound", "--ineq", _ineq_json(value=True)], 1),
+        (None, ["classical-bound", "--ineq", _ineq_json(rhs="1")], 1),
+        (None, ["classical-bound", "--ineq", _ineq_json(rhs=False)], 1),
+        (None, ["classical-bound", "--ineq", _ineq_json(value=10**400)], 1),
+        ("", ["classical-bound", "--ineq", "chsh"], 2),
+        (None, ["member", "--polytope", "cut:3,4", "--point", "[0, 0, 0]"], 1),
         (None, ["classical-bound", "--ineq", "cliqueweb:5,2"], 1),
         (None, ["gram", "--ineq", ZERO_BOUND_INEQ], 1),
     ],

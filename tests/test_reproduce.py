@@ -1,8 +1,19 @@
 """The recorded-claims registry recomputes every number it reports."""
 
+import inspect
+
 import pytest
 
-from bellbound import BellboundError, claim_ids, run_claims
+from bellbound import (
+    BellboundError,
+    PolytopeSpec,
+    WebSpec,
+    claim_ids,
+    clique_web_inequality,
+    reproduce,
+    run_claims,
+)
+from bellbound.optimize import FAMILY_BOUQUET12, FAMILY_BOUQUET2K1
 from bellbound.reproduce import SOURCE_DERIVED, SOURCE_PAPER, SOURCE_TRIVIAL
 
 
@@ -37,3 +48,33 @@ def test_row_serialization():
     assert data["claim_id"] == "chsh-classical-bound"
     assert data["passed"] is True
     assert isinstance(data["computed"], float)
+
+
+def test_shared_quantities_are_computed_once_per_call(monkeypatch):
+    calls = {"scan_theta": [], "classical_bound": [], "membership": []}
+    for name, log in calls.items():
+        original = getattr(reproduce, name)
+
+        def recording(*args, _original=original, _log=log, **kwargs):
+            bound = inspect.signature(_original).bind(*args, **kwargs)
+            bound.apply_defaults()
+            _log.append(bound.arguments)
+            return _original(*args, **kwargs)
+
+        monkeypatch.setattr(reproduce, name, recording)
+    cliqueweb_12_3_4 = clique_web_inequality(WebSpec(12, 3, 4))
+    bell22 = PolytopeSpec.bell_bipartite(2, 2)
+
+    def counts():
+        return (
+            sum(a["family"] == FAMILY_BOUQUET12 for a in calls["scan_theta"]),
+            sum(a["family"] == FAMILY_BOUQUET2K1 and a["k"] == 1000 for a in calls["scan_theta"]),
+            sum(a["ineq"] == cliqueweb_12_3_4 for a in calls["classical_bound"]),
+            sum(a["spec"] == bell22 for a in calls["membership"]),
+        )
+
+    assert all(row.passed for row in run_claims())
+    assert counts() == (1, 1, 1, 1)
+    # nothing is kept between calls: a second call recomputes each one
+    assert all(row.passed for row in run_claims())
+    assert counts() == (2, 2, 2, 2)
