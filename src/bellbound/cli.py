@@ -21,7 +21,7 @@ import sys
 
 import numpy as np
 
-from .enumeration import DEFAULT_GUARD
+from .enumeration import DEFAULT_GUARD, walk_memo
 from .errors import BellboundError, ParameterError
 from .inequalities import (
     MODE_COMPLETE,
@@ -157,11 +157,13 @@ def _emit(
     payload: dict,
     rows: list[dict] | None = None,
     rows_in_json: str | None = None,
+    columns: tuple[str, ...] = (),
 ) -> None:
     """Render one result: json is the payload, csv prefers the row set.
 
     rows_in_json names a payload key for the row set when the rows are
-    not already part of the documented JSON shape.
+    not already part of the documented JSON shape.  columns heads the
+    csv of a row set that can be empty, which has no row to name them.
     """
     fmt = args.format
     if fmt == "json":
@@ -172,8 +174,8 @@ def _emit(
         return
     if fmt == "csv":
         writer = csv.writer(sys.stdout, lineterminator="\n")
-        if rows:
-            header = list(rows[0].keys())
+        if rows is not None:
+            header = list(rows[0].keys()) if rows else list(columns)
             writer.writerow(header)
             for row in rows:
                 writer.writerow([_cell(row[k]) for k in header])
@@ -200,7 +202,7 @@ def _cmd_web(args) -> int:
     edges = antiweb_edges(spec) if args.antiweb else web_edges(spec)
     payload = edges.to_json_dict()
     rows = [{"i": i, "j": j} for i, j in edges.edges]
-    _emit(args, payload, rows)
+    _emit(args, payload, rows, columns=("i", "j"))
     return 0
 
 
@@ -556,7 +558,9 @@ def main(argv: list[str] | None = None) -> int:
         # geometry and operator subcommands build whole tables, so their default is smaller
         args.guard = getattr(args, "default_guard", DEFAULT_GUARD)
     try:
-        return args.fn(args)
+        # one memo per command: werner reads the same few forms on every row
+        with walk_memo():
+            return args.fn(args)
     except BellboundError as exc:
         print(
             json.dumps({"error": type(exc).__name__, "message": str(exc)}, sort_keys=True),

@@ -5,10 +5,17 @@ differ in one variable, so the running value of sum_{i<j} c_ij X_i X_j is
 updated in O(degree) per step instead of being recomputed.  Because the
 form is invariant under a global sign flip, the first variable can be
 pinned to +1 and only half the cube visited.
+
+Inside a walk_memo() block each distinct form is walked once: the CLI
+runs every command in one, so the normalizing bound and the noise
+quantity that werner reads on every table row are each enumerated once
+per command.  Outside a block every call walks.
 """
 
 from __future__ import annotations
 
+import contextlib
+import contextvars
 import math
 import numbers
 from typing import Iterable, Sequence
@@ -16,6 +23,10 @@ from typing import Iterable, Sequence
 from .errors import ParameterError, check_guard
 
 DEFAULT_GUARD = 24
+
+_memo: contextvars.ContextVar[dict | None] = contextvars.ContextVar(
+    "bellbound_enumeration_memo", default=None
+)
 
 
 def gray_flip_sequence(nbits: int):
@@ -42,6 +53,24 @@ def integer_ratios(values: Iterable[float]) -> tuple[list[int], int]:
     return [n * (denominator // d) for n, d in ratios], denominator
 
 
+@contextlib.contextmanager
+def walk_memo():
+    """Within the block, max_over_signs walks each distinct form once.
+
+    A later call on the same form returns the stored result.  A nested
+    block shares the outer block's memo; the memo is dropped when the
+    outermost block exits, normally or by an exception.
+    """
+    if _memo.get() is not None:
+        yield
+        return
+    token = _memo.set({})
+    try:
+        yield
+    finally:
+        _memo.reset(token)
+
+
 def max_over_signs(
     n_vars: int,
     pairs: Sequence[tuple[int, int, float]],
@@ -62,7 +91,10 @@ def max_over_signs(
     Returns:
         (max_value, argmax, evaluations) where argmax is a tuple of signs,
         evaluations is 2**(n_vars - 1), and ties are broken by the first
-        maximizer in Gray-code order.
+        maximizer in Gray-code order.  Inside walk_memo() a repeated form
+        returns the stored result after the arguments are checked, so
+        evaluations is the size of the search the answer certifies, not
+        the steps taken by this call.
     """
     if n_vars < 1:
         raise ParameterError(f"need at least one variable, got {n_vars}")
@@ -76,10 +108,24 @@ def max_over_signs(
     numerators, denominator = integer_ratios(w for _, _, w in pairs)
     exact = denominator <= 2
     if exact:
-        work = [(i, j, c) for (i, j, _), c in zip(pairs, numerators)]
+        work = tuple((i, j, c) for (i, j, _), c in zip(pairs, numerators))
     else:
-        work = [(i, j, float(w)) for i, j, w in pairs]
+        work = tuple((i, j, float(w)) for i, j, w in pairs)
+    # Equal keys walk alike: the weights are already Python ints or floats,
+    # and -0.0 == 0.0 is harmless because every sum in the walk starts at 0.
+    key = (n_vars, exact, work, denominator)
+    memo = _memo.get()
+    if memo is not None and key in memo:
+        return memo[key]
+    best, best_x, evaluations = _walk(n_vars, work)
+    result = (best / denominator if exact else best, best_x, evaluations)
+    if memo is not None:
+        memo[key] = result
+    return result
 
+
+def _walk(n_vars: int, work: Sequence[tuple[int, int, object]]):
+    """(best, argmax, evaluations) of the Gray walk, best in the units of work."""
     adjacency: list[list[tuple[int, object]]] = [[] for _ in range(n_vars)]
     for i, j, w in work:
         adjacency[i].append((j, w))
@@ -102,9 +148,6 @@ def max_over_signs(
         if value > best:
             best = value
             best_x = tuple(x)
-
-    if exact:
-        return best / denominator, best_x, evaluations
     return best, best_x, evaluations
 
 

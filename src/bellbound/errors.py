@@ -1,5 +1,7 @@
 """Exception types shared across the package, and the shared input checks."""
 
+import numbers
+
 import numpy as np
 
 
@@ -32,12 +34,27 @@ def check_guard(size: int, guard: int, what: str) -> None:
         )
 
 
+def _all_numbers(values) -> bool:
+    """Whether every entry of nested lists, tuples or arrays is a real number.
+
+    Strings and booleans are not numbers here, although numpy converts them.
+    """
+    if isinstance(values, np.ndarray):
+        return values.dtype.kind in "iuf" or all(map(_all_numbers, values.flat))
+    if isinstance(values, (list, tuple)):
+        # an exact-type test passes JSON numbers without the slow ABC test
+        return all(type(v) in (float, int) or _all_numbers(v) for v in values)
+    return isinstance(values, numbers.Real) and not isinstance(values, bool)
+
+
 def finite_array(values, what: str) -> np.ndarray:
     """values as a float array, refusing ragged, non-numeric or non-finite input."""
     try:
         array = np.asarray(values, dtype=float)
     except (TypeError, ValueError) as exc:
         raise ParameterError(f"{what} must be a rectangular array of numbers: {exc}") from exc
+    if not _all_numbers(values):
+        raise ParameterError(f"{what} must hold numbers, not strings or booleans")
     if not np.isfinite(array).all():
         raise ParameterError(f"{what} must be finite")
     return array

@@ -19,9 +19,9 @@ from typing import Callable
 
 import numpy as np
 
+from .enumeration import walk_memo
 from .errors import BellboundError
 from .inequalities import (
-    ClassicalBoundResult,
     PairwiseInequality,
     SignAssignment,
     chsh,
@@ -122,16 +122,9 @@ def _bool(value: bool) -> float:
 
 
 # Quantities that several rows read.  Each is computed on first use in a
-# run_claims call; run_claims clears these caches when it returns.
-
-
-@functools.cache
-def _enumerated(
-    make: Callable[..., PairwiseInequality], *args
-) -> tuple[PairwiseInequality, ClassicalBoundResult]:
-    """The inequality make(*args) and its enumerated classical bound."""
-    ineq = make(*args)
-    return ineq, classical_bound(ineq)
+# run_claims call; run_claims clears these caches when it returns.  Shared
+# enumerations, such as the (12,3,4) bound, need no cache here: run_claims
+# runs inside enumeration.walk_memo, which walks each form once.
 
 
 @functools.cache
@@ -146,15 +139,16 @@ def _bell22_singlet() -> MembershipCertificate:
     return membership(PolytopeSpec.bell_bipartite(2, 2), np.array([s, s, s, -s]))
 
 
-_SHARED = (_enumerated, _scan, _bell22_singlet)
+_SHARED = (_scan, _bell22_singlet)
 
 
 def _classical(make: Callable[..., PairwiseInequality], *args) -> float:
-    return _enumerated(make, *args)[1].max_value
+    return classical_bound(make(*args)).max_value
 
 
 def _cliqueweb_attained() -> float:
-    ineq, result = _enumerated(clique_web_inequality, WebSpec(12, 3, 4))
+    ineq = clique_web_inequality(WebSpec(12, 3, 4))
+    result = classical_bound(ineq)
     return _bool(evaluate(ineq, result.argmax) == ineq.rhs == result.max_value)
 
 
@@ -495,29 +489,30 @@ def run_claims(selected: list[str] | None = None) -> list[ReproductionRow]:
             raise BellboundError(f"unknown claim ids: {sorted(unknown)}")
     rows = []
     try:
-        for claim_id, description, source, expected, tolerance, fn in _CLAIMS:
-            if wanted is not None and claim_id not in wanted:
-                continue
-            try:
-                computed = float(fn())
-                passed = bool(abs(computed - expected) <= tolerance)
-                error = None
-            except BellboundError as exc:
-                computed = None
-                passed = False
-                error = str(exc)
-            rows.append(
-                ReproductionRow(
-                    claim_id=claim_id,
-                    description=description,
-                    source=source,
-                    expected=expected,
-                    computed=computed,
-                    tolerance=tolerance,
-                    passed=passed,
-                    error=error,
+        with walk_memo():
+            for claim_id, description, source, expected, tolerance, fn in _CLAIMS:
+                if wanted is not None and claim_id not in wanted:
+                    continue
+                try:
+                    computed = float(fn())
+                    passed = bool(abs(computed - expected) <= tolerance)
+                    error = None
+                except BellboundError as exc:
+                    computed = None
+                    passed = False
+                    error = str(exc)
+                rows.append(
+                    ReproductionRow(
+                        claim_id=claim_id,
+                        description=description,
+                        source=source,
+                        expected=expected,
+                        computed=computed,
+                        tolerance=tolerance,
+                        passed=passed,
+                        error=error,
+                    )
                 )
-            )
     finally:
         for shared in _SHARED:
             shared.cache_clear()

@@ -54,6 +54,17 @@ def test_web_json(capsys):
     assert json.loads(out) == web_edges(WebSpec(5, 2, 1)).to_json_dict()
 
 
+def test_web_csv_keeps_its_header_without_edges(capsys):
+    code, out, _ = run(capsys, ["web", "--p", "4", "--q", "3", "--r", "0", "--antiweb",
+                                "--format", "csv"])
+    assert code == 0
+    assert out == "i,j\n"
+    code, out, _ = run(capsys, ["web", "--p", "5", "--q", "2", "--r", "1", "--antiweb",
+                                "--format", "csv"])
+    assert code == 0
+    assert out == "i,j\n0,1\n0,4\n1,2\n2,3\n3,4\n"
+
+
 def test_cliqueweb_json_round_trip(capsys):
     code, out, _ = run(
         capsys, ["cliqueweb", "--p", "7", "--q", "2", "--r", "2", "--format", "json"]
@@ -483,6 +494,9 @@ def test_geometry_commands_default_to_the_vertex_guard(capsys, monkeypatch, over
         (None, ["qvalue", "--ineq", "triangle", "--vectors", "[[1, 0], [NaN, 0], [0, 1]]"], 1),
         (None, ["member", "--polytope", "bell3", "--point", '["a", 0, 0]'], 1),
         (None, ["member", "--polytope", "bell3", "--point", "[NaN, 0, 0]"], 1),
+        (None, ["member", "--polytope", "bell3", "--point", "[true, 0, 0]"], 1),
+        (None, ["qvalue", "--ineq", "chsh", "--vectors",
+                '{"vectors": [["1", 0, 0], [0, 1, 0], [0, 0, 1], [1, 0, 0]]}'], 1),
         (None, ["member", "--polytope", "bell:4", "--point", "[1e308,1e308,-1e308,1e308,1e308,1e308]"], 1),
         (None, ["classical-bound", "--ineq", _ineq_json(j=1.5)], 1),
         (None, ["classical-bound", "--ineq", _ineq_json(n_left=3.7)], 1),

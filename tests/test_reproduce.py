@@ -10,6 +10,7 @@ from bellbound import (
     WebSpec,
     claim_ids,
     clique_web_inequality,
+    enumeration,
     reproduce,
     run_claims,
 )
@@ -51,7 +52,7 @@ def test_row_serialization():
 
 
 def test_shared_quantities_are_computed_once_per_call(monkeypatch):
-    calls = {"scan_theta": [], "classical_bound": [], "membership": []}
+    calls = {"scan_theta": [], "membership": []}
     for name, log in calls.items():
         original = getattr(reproduce, name)
 
@@ -62,14 +63,23 @@ def test_shared_quantities_are_computed_once_per_call(monkeypatch):
             return _original(*args, **kwargs)
 
         monkeypatch.setattr(reproduce, name, recording)
-    cliqueweb_12_3_4 = clique_web_inequality(WebSpec(12, 3, 4))
+    # the (12,3,4) bound is shared through the walk memo, so count its walks
+    walks = []
+    original_walk = enumeration._walk
+
+    def recording_walk(n_vars, work):
+        walks.append(work)
+        return original_walk(n_vars, work)
+
+    monkeypatch.setattr(enumeration, "_walk", recording_walk)
+    cliqueweb_12_3_4 = clique_web_inequality(WebSpec(12, 3, 4)).engine_pairs()
     bell22 = PolytopeSpec.bell_bipartite(2, 2)
 
     def counts():
         return (
             sum(a["family"] == FAMILY_BOUQUET12 for a in calls["scan_theta"]),
             sum(a["family"] == FAMILY_BOUQUET2K1 and a["k"] == 1000 for a in calls["scan_theta"]),
-            sum(a["ineq"] == cliqueweb_12_3_4 for a in calls["classical_bound"]),
+            sum(work == cliqueweb_12_3_4 for work in walks),
             sum(a["spec"] == bell22 for a in calls["membership"]),
         )
 
