@@ -163,7 +163,8 @@ def _emit(
 
     rows_in_json names a payload key for the row set when the rows are
     not already part of the documented JSON shape.  columns heads the
-    csv of a row set that can be empty, which has no row to name them.
+    csv or table of a row set that can be empty, which has no row to
+    name them.
     """
     fmt = args.format
     if fmt == "json":
@@ -190,8 +191,8 @@ def _emit(
             print(f"{key}: {_cell(value)}")
         else:
             print(f"{key}: {json.dumps(_rounded(value), sort_keys=True)}")
-    if rows:
-        keys = list(rows[0].keys())
+    if rows or (rows is not None and columns):
+        keys = list(rows[0].keys()) if rows else list(columns)
         print("  ".join(keys))
         for row in rows:
             print("  ".join(_cell(row[k]) for k in keys))

@@ -1,10 +1,20 @@
 """Exhaustive optimization of pairwise forms over sign assignments.
 
-The workhorse is a Gray-code walk over {-1,+1}^n: consecutive assignments
-differ in one variable, so the running value of sum_{i<j} c_ij X_i X_j is
-updated in O(degree) per step instead of being recomputed.  Because the
-form is invariant under a global sign flip, the first variable can be
-pinned to +1 and only half the cube visited.
+The form sum_{i<j} c_ij X_i X_j is invariant under a global sign flip,
+so the first variable is pinned to +1 and only half of {-1,+1}^n is
+searched, in Gray-code order: consecutive assignments differ in one
+variable.  Two engines walk that order and give the same answer:
+
+- Integer forms (every weight an integer or half-integer, scaled to
+  integers) whose absolute sum is below 2^62 run the blocked engine.  It
+  tabulates a low block of 2^12 assignments in int64 once and takes the
+  high block in Gray order, in chunks of at most 2^18 assignments, as
+  int64 matrix products.  Integer sums do not depend on their order, so
+  value, argmax and tie-break are those of the walk, bit for bit.
+- Float forms, and integer forms too large for int64, run the scalar
+  Gray walk, which updates the running value in O(degree) per step.
+  Float sums do depend on their order, and the walk's order is the one
+  the recorded float results were computed in.
 
 Inside a walk_memo() block each distinct form is walked once: the CLI
 runs every command in one, so the normalizing bound and the noise
@@ -16,13 +26,21 @@ from __future__ import annotations
 
 import contextlib
 import contextvars
+import functools
 import math
 import numbers
 from typing import Iterable, Sequence
 
+import numpy as np
+
 from .errors import ParameterError, check_guard
 
 DEFAULT_GUARD = 24
+# the blocked engine: free variables in its low block, entries per chunk
+# of the high block, and the bound on sum |w| that keeps int64 sums exact
+LOW_BITS = 12
+CHUNK = 1 << 18
+INT64_SAFE = 1 << 62
 
 _memo: contextvars.ContextVar[dict | None] = contextvars.ContextVar(
     "bellbound_enumeration_memo", default=None
@@ -80,8 +98,10 @@ def max_over_signs(
 
     X_0 is pinned to +1 (the form is invariant under a global flip), so
     half the cube is searched.  Weights that are all exactly integers or
-    half-integers are accumulated in integers, which makes the maximum
-    exact; any other weights are accumulated in floats.
+    half-integers are summed in integers, which makes the maximum exact:
+    the blocked int64 engine takes them while their absolute sum is below
+    2^62.  Any other weights are summed in floats by the scalar Gray
+    walk, whose order of summation the recorded float results pin.
 
     Args:
         n_vars: number of +-1 variables.
@@ -95,6 +115,11 @@ def max_over_signs(
         returns the stored result after the arguments are checked, so
         evaluations is the size of the search the answer certifies, not
         the steps taken by this call.
+
+    Raises:
+        ParameterError: a bad pair, a weight that is not finite, or
+            weights whose absolute sum overflows a float, which would
+            make the maximum overflow too.
     """
     if n_vars < 1:
         raise ParameterError(f"need at least one variable, got {n_vars}")
@@ -104,6 +129,12 @@ def max_over_signs(
             raise ParameterError(f"bad pair ({i}, {j}) for {n_vars} variables")
         if not math.isfinite(w):
             raise ParameterError(f"weight on pair ({i}, {j}) is not finite")
+    try:
+        total = math.fsum(abs(w) for _, _, w in pairs)
+    except OverflowError:
+        total = math.inf
+    if not math.isfinite(total):
+        raise ParameterError("the absolute sum of the weights overflows a float")
 
     numerators, denominator = integer_ratios(w for _, _, w in pairs)
     exact = denominator <= 2
@@ -125,7 +156,18 @@ def max_over_signs(
 
 
 def _walk(n_vars: int, work: Sequence[tuple[int, int, object]]):
-    """(best, argmax, evaluations) of the Gray walk, best in the units of work."""
+    """(best, argmax, evaluations) in the units of work, from either engine.
+
+    Integer work whose absolute sum is below INT64_SAFE takes the blocked
+    engine; float work and larger integers take the scalar walk.
+    """
+    if all(type(w) is int for _, _, w in work) and sum(abs(w) for _, _, w in work) < INT64_SAFE:
+        return _blocked_walk(n_vars, work)
+    return _gray_walk(n_vars, work)
+
+
+def _gray_walk(n_vars: int, work: Sequence[tuple[int, int, object]]):
+    """The scalar Gray walk: one flip and an O(degree) update per step."""
     adjacency: list[list[tuple[int, object]]] = [[] for _ in range(n_vars)]
     for i, j, w in work:
         adjacency[i].append((j, w))
@@ -149,6 +191,65 @@ def _walk(n_vars: int, work: Sequence[tuple[int, int, object]]):
             best = value
             best_x = tuple(x)
     return best, best_x, evaluations
+
+
+def _gray_rows(start: int, stop: int, nbits: int) -> np.ndarray:
+    """Row c - start: the signs of nbits free variables at step c of the walk.
+
+    Step c has code word c ^ (c >> 1); bit b set means free variable b is -1.
+    """
+    c = np.arange(start, stop, dtype=np.int64)
+    code = c ^ (c >> 1)
+    return 1 - 2 * ((code[:, None] >> np.arange(nbits, dtype=np.int64)) & 1)
+
+
+@functools.lru_cache(maxsize=None)
+def _low_signs(nbits: int) -> np.ndarray:
+    """Every step of the walk on nbits free variables, behind X_0 = +1."""
+    signs = np.ones((1 << nbits, nbits + 1), dtype=np.int64)
+    signs[:, 1:] = _gray_rows(0, 1 << nbits, nbits)
+    signs.flags.writeable = False
+    return signs
+
+
+def _blocked_walk(n_vars: int, work: Sequence[tuple[int, int, int]]):
+    """The Gray walk's (best, argmax, evaluations) for integer work, in int64.
+
+    The low block is X_0 and the first k free variables, the high block
+    the other h.  Step r * 2^k + c of the walk puts the high block at
+    step r of its own walk and the low block at step c when r is even,
+    at step 2^k - 1 - c when r is odd (the low walk then runs backwards).
+    So the first maximizer in walk order lies in the first high step that
+    reaches the maximum, at its first low row when r is even and at its
+    last when r is odd.  Every sum is bounded by sum |w| < 2^62.
+    """
+    free = n_vars - 1
+    k = min(free, LOW_BITS)
+    h = free - k
+    w = np.zeros((n_vars, n_vars), dtype=np.int64)
+    for i, j, c in work:
+        w[i, j] += c
+    low = _low_signs(k)
+    low_value = ((low @ w[: k + 1, : k + 1]) * low).sum(axis=1)
+    cross = (low @ w[: k + 1, k + 1 :]).T.copy()  # (h, 2^k)
+    w_high = w[k + 1 :, k + 1 :]
+    step = CHUNK >> k
+    best = None
+    for r0 in range(0, 1 << h, step):
+        high = _gray_rows(r0, min(r0 + step, 1 << h), h)
+        values = high @ cross
+        values += low_value
+        row_max = values.max(axis=1) + ((high @ w_high) * high).sum(axis=1)
+        j = int(np.argmax(row_max))
+        if best is None or row_max[j] > best:
+            best = int(row_max[j])
+            row = values[j]
+            if (r0 + j) & 1:
+                c = len(row) - 1 - int(np.argmax(row[::-1]))
+            else:
+                c = int(np.argmax(row))
+            best_x = tuple(low[c].tolist() + high[j].tolist())
+    return best, best_x, 1 << free
 
 
 def min_over_signs(

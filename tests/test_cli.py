@@ -65,6 +65,12 @@ def test_web_csv_keeps_its_header_without_edges(capsys):
     assert out == "i,j\n0,1\n0,4\n1,2\n2,3\n3,4\n"
 
 
+def test_web_table_keeps_its_header_without_edges(capsys):
+    code, out, _ = run(capsys, ["web", "--p", "4", "--q", "3", "--r", "0", "--antiweb"])
+    assert code == 0
+    assert out == "n: 4\nedges: []\ni  j\n"
+
+
 def test_cliqueweb_json_round_trip(capsys):
     code, out, _ = run(
         capsys, ["cliqueweb", "--p", "7", "--q", "2", "--r", "2", "--format", "json"]
@@ -531,6 +537,28 @@ def test_bad_input_exits_without_traceback(capsys, monkeypatch, guard_env, argv,
         assert set(json.loads(captured.err)) == {"error", "message"}
     else:
         assert "usage:" in captured.err
+
+
+OVERFLOWING_WEIGHTS = [
+    [(0, 1, 1e308), (0, 2, 1e308), (1, 2, 1e308)],
+    [(0, 1, 1.7e308), (0, 2, -1.7e308), (1, 2, 0.3)],
+    [(0, 1, 1.7e308), (0, 2, 1.7e308), (1, 2, 0.3)],
+]
+
+
+@pytest.mark.parametrize("pairs", OVERFLOWING_WEIGHTS)
+def test_weights_that_overflow_a_float_are_refused(capsys, pairs):
+    ineq = json.dumps(
+        {"mode": "complete", "n_left": 3, "n_right": 0, "rhs": 1,
+         "coefficients": [{"i": i, "j": j, "value": w} for i, j, w in pairs]}
+    )
+    code, out, err = run(capsys, ["classical-bound", "--ineq", ineq])
+    assert code == 1
+    assert out == ""
+    assert json.loads(err) == {
+        "error": "ParameterError",
+        "message": "the absolute sum of the weights overflows a float",
+    }
 
 
 def test_ineq_from_file(capsys, tmp_path):

@@ -171,3 +171,23 @@ def test_guard_and_validation():
         max_over_signs(2, [(1, 1, 1.0)])
     with pytest.raises(ParameterError):
         max_over_signs(2, [(0, 1, float("nan"))])
+
+
+@pytest.mark.parametrize(
+    "pairs",
+    [
+        [(0, 1, 1e308), (0, 2, 1e308), (1, 2, 1e308)],
+        # the maximum 3.4e308 does not fit a float, in either sign pattern
+        [(0, 1, 1.7e308), (0, 2, -1.7e308), (1, 2, 0.3)],
+        [(0, 1, 1.7e308), (0, 2, 1.7e308), (1, 2, 0.3)],
+    ],
+)
+def test_weights_that_overflow_a_float_are_refused(pairs):
+    with pytest.raises(ParameterError, match="overflows a float"):
+        max_over_signs(3, pairs)
+    with pytest.raises(ParameterError, match="overflows a float"):
+        min_over_signs(3, pairs)
+
+
+def test_weights_just_below_the_float_range_are_enumerated():
+    assert max_over_signs(3, [(0, 1, 1e308), (0, 2, -0.7e308)])[0] == 1.7e308
