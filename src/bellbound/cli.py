@@ -277,8 +277,9 @@ def _cmd_facet_check(args) -> int:
     return 0
 
 
-def _complex_matrix_json(m: np.ndarray) -> list:
-    return [[[_round12(z.real), _round12(z.imag)] for z in row] for row in m]
+def _complex_json(m: np.ndarray) -> list:
+    """A complex array as nested [re, im] pairs; _emit rounds them."""
+    return np.stack([m.real, m.imag], axis=-1).tolist()
 
 
 def _cmd_tsirelson(args) -> int:
@@ -298,9 +299,9 @@ def _cmd_tsirelson(args) -> int:
     }
     if args.dump_operators:
         payload["operators"] = {
-            "a": [_complex_matrix_json(m) for m in realization.a_operators],
-            "b": [_complex_matrix_json(m) for m in realization.b_operators],
-            "state": [[_round12(z.real), _round12(z.imag)] for z in realization.state],
+            "a": [_complex_json(m) for m in realization.a_operators],
+            "b": [_complex_json(m) for m in realization.b_operators],
+            "state": _complex_json(realization.state),
         }
     _emit(args, payload)
     return 0
@@ -422,15 +423,15 @@ def _cmd_reproduce(args) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument(
+    formatted = argparse.ArgumentParser(add_help=False)
+    formatted.add_argument(
         "--format",
         choices=("json", "csv", "table"),
         default="table",
         help="output format (default table)",
     )
-    common.add_argument("--seed", type=int, default=0, help="seed for randomized commands")
-    common.add_argument(
+    guarded = argparse.ArgumentParser(add_help=False, parents=[formatted])
+    guarded.add_argument(
         "--guard",
         type=int,
         help=(
@@ -446,20 +447,20 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("web", parents=[common], help="emit web or antiweb edges")
+    p = sub.add_parser("web", parents=[formatted], help="emit web or antiweb edges")
     p.add_argument("--p", type=int, required=True)
     p.add_argument("--q", type=int, required=True)
     p.add_argument("--r", type=int, required=True)
     p.add_argument("--antiweb", action="store_true", help="emit the complement instead")
     p.set_defaults(fn=_cmd_web)
 
-    p = sub.add_parser("cliqueweb", parents=[common], help="emit a clique-web inequality")
+    p = sub.add_parser("cliqueweb", parents=[formatted], help="emit a clique-web inequality")
     p.add_argument("--p", type=int, required=True)
     p.add_argument("--q", type=int, required=True)
     p.add_argument("--r", type=int, required=True)
     p.set_defaults(fn=_cmd_cliqueweb)
 
-    p = sub.add_parser("bouquet", parents=[common], help="emit a bouquet configuration")
+    p = sub.add_parser("bouquet", parents=[formatted], help="emit a bouquet configuration")
     p.add_argument("--p", type=int, required=True)
     p.add_argument("--q", type=int, required=True)
     p.add_argument("--theta", type=float, help="opening angle in radians")
@@ -467,7 +468,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--phase", type=float, default=0.0, help="ring rotation in radians")
     p.set_defaults(fn=_cmd_bouquet)
 
-    p = sub.add_parser("qvalue", parents=[common], help="normalized quantum value")
+    p = sub.add_parser("qvalue", parents=[formatted], help="normalized quantum value")
     p.add_argument("--ineq", required=True, help="chsh, triangle, cliqueweb:p,q,r, or JSON")
     p.add_argument("--vectors", required=True, help="vector-config JSON file or string")
     p.add_argument(
@@ -477,16 +478,16 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.set_defaults(fn=_cmd_qvalue)
 
-    p = sub.add_parser("classical-bound", parents=[common], help="exact bound by enumeration")
+    p = sub.add_parser("classical-bound", parents=[guarded], help="exact bound by enumeration")
     p.add_argument("--ineq", required=True)
-    p.set_defaults(fn=_cmd_classical_bound)
+    p.set_defaults(fn=_cmd_classical_bound, default_guard=DEFAULT_GUARD)
 
-    p = sub.add_parser("member", parents=[common], help="polytope membership certificate")
+    p = sub.add_parser("member", parents=[guarded], help="polytope membership certificate")
     p.add_argument("--polytope", required=True, help="bell3, bell22, cut4, cor3, bell:N,M")
     p.add_argument("--point", required=True, help="JSON array file or string")
     p.set_defaults(fn=_cmd_member, default_guard=VERTEX_GUARD)
 
-    p = sub.add_parser("facet-check", parents=[common], help="exact validity and facet test")
+    p = sub.add_parser("facet-check", parents=[guarded], help="exact validity and facet test")
     p.add_argument("--polytope", required=True)
     p.add_argument("--ineq", required=True)
     p.add_argument(
@@ -496,7 +497,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.set_defaults(fn=_cmd_facet_check, default_guard=VERTEX_GUARD)
 
-    p = sub.add_parser("tsirelson", parents=[common], help="operator realization report")
+    p = sub.add_parser("tsirelson", parents=[guarded], help="operator realization report")
     p.add_argument("--vectors", required=True)
     p.add_argument(
         "--dump-operators",
@@ -505,32 +506,33 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.set_defaults(fn=_cmd_tsirelson, default_guard=GENERATOR_GUARD)
 
-    p = sub.add_parser("werner", parents=[common], help="noise threshold and violation table")
+    p = sub.add_parser("werner", parents=[guarded], help="noise threshold and violation table")
     p.add_argument("--ineq", required=True)
     p.add_argument("--vectors", required=True)
     p.add_argument("--eta", type=float, help="evaluate a single visibility instead of a table")
     p.add_argument("--points", type=int, default=20, help="table rows when --eta is absent")
-    p.set_defaults(fn=_cmd_werner)
+    p.set_defaults(fn=_cmd_werner, default_guard=DEFAULT_GUARD)
 
-    p = sub.add_parser("maxcut", parents=[common], help="worst-case noise quantity")
+    p = sub.add_parser("maxcut", parents=[guarded], help="worst-case noise quantity")
     p.add_argument("--ineq", required=True)
-    p.set_defaults(fn=_cmd_maxcut)
+    p.set_defaults(fn=_cmd_maxcut, default_guard=DEFAULT_GUARD)
 
-    p = sub.add_parser("scan-theta", parents=[common], help="scan a bouquet value curve")
+    p = sub.add_parser("scan-theta", parents=[formatted], help="scan a bouquet value curve")
     p.add_argument("--family", choices=("b12", "b2k1"), required=True)
     p.add_argument("--k", type=int, help="ring parameter for the b2k1 family")
     p.add_argument("--points", type=int, default=1024, help="grid points")
     p.set_defaults(fn=_cmd_scan_theta)
 
-    p = sub.add_parser("gram", parents=[common], help="block-coordinate vector ascent")
+    p = sub.add_parser("gram", parents=[guarded], help="block-coordinate vector ascent")
     p.add_argument("--ineq", required=True)
     p.add_argument("--dim", type=int, help="vector dimension (default: variable count)")
     p.add_argument("--restarts", type=int, default=32)
-    p.set_defaults(fn=_cmd_gram)
+    p.add_argument("--seed", type=int, default=0, help="seed for the random restarts (default 0)")
+    p.set_defaults(fn=_cmd_gram, default_guard=DEFAULT_GUARD)
 
     p = sub.add_parser(
         "reproduce-paper",
-        parents=[common],
+        parents=[formatted],
         help="recompute every recorded claim as a pass/fail table",
     )
     p.add_argument("--claims", help="comma-separated claim ids (default: all)")
@@ -548,16 +550,14 @@ def _parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     parser = _parser()
     args = parser.parse_args(argv)
-    # the flag wins, then BELLBOUND_GUARD as it is at this call, then the command's default
-    guard_env = os.environ.get("BELLBOUND_GUARD")
-    if args.guard is None and guard_env is not None:
+    # the flag wins, then BELLBOUND_GUARD as it is at this call, then the command's
+    # default, which is smaller for the commands that build whole tables
+    if "guard" in args and args.guard is None:
+        guard_env = os.environ.get("BELLBOUND_GUARD")
         try:
-            args.guard = int(guard_env)
+            args.guard = args.default_guard if guard_env is None else int(guard_env)
         except ValueError:
             parser.error(f"BELLBOUND_GUARD must be an integer, got {guard_env!r}")
-    elif args.guard is None:
-        # geometry and operator subcommands build whole tables, so their default is smaller
-        args.guard = getattr(args, "default_guard", DEFAULT_GUARD)
     try:
         # one memo per command: werner reads the same few forms on every row
         with walk_memo():

@@ -33,7 +33,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .errors import ParameterError, check_guard
+from .errors import ParameterError, check_guard, is_finite
 
 DEFAULT_GUARD = 24
 # the blocked engine: free variables in its low block, entries per chunk
@@ -127,7 +127,7 @@ def max_over_signs(
     for i, j, w in pairs:
         if not (0 <= i < j < n_vars):
             raise ParameterError(f"bad pair ({i}, {j}) for {n_vars} variables")
-        if not math.isfinite(w):
+        if not is_finite(w):
             raise ParameterError(f"weight on pair ({i}, {j}) is not finite")
     try:
         total = math.fsum(abs(w) for _, _, w in pairs)

@@ -1,5 +1,6 @@
 """Exception types shared across the package, and the shared input checks."""
 
+import math
 import numbers
 
 import numpy as np
@@ -34,6 +35,14 @@ def check_guard(size: int, guard: int, what: str) -> None:
         )
 
 
+def is_finite(value) -> bool:
+    """math.isfinite, except that an int too large for a float is not finite."""
+    try:
+        return math.isfinite(value)
+    except OverflowError:
+        return False
+
+
 def _all_numbers(values) -> bool:
     """Whether every entry of nested lists, tuples or arrays is a real number.
 
@@ -51,6 +60,8 @@ def finite_array(values, what: str) -> np.ndarray:
     """values as a float array, refusing ragged, non-numeric or non-finite input."""
     try:
         array = np.asarray(values, dtype=float)
+    except OverflowError as exc:
+        raise ParameterError(f"{what} must be finite: {exc}") from exc
     except (TypeError, ValueError) as exc:
         raise ParameterError(f"{what} must be a rectangular array of numbers: {exc}") from exc
     if not _all_numbers(values):

@@ -12,14 +12,13 @@ finite cube, computed here by exact enumeration.
 from __future__ import annotations
 
 import json
-import math
 from dataclasses import dataclass, field
 from types import MappingProxyType
 from typing import Iterable, Mapping
 
 from . import enumeration
 from .enumeration import DEFAULT_GUARD
-from .errors import DimensionError, ParameterError, json_int, json_number
+from .errors import DimensionError, ParameterError, is_finite, json_int, json_number
 
 MODE_COMPLETE = "complete"
 MODE_BIPARTITE = "bipartite"
@@ -326,7 +325,7 @@ def _freeze_coefficients(ineq, n_left: int, n_right: int) -> None:
             raise DimensionError(f"bad pair ({i}, {j}) for {n_left} variables")
         if n_right and not (0 <= i < n_left and 0 <= j < n_right):
             raise DimensionError(f"bad bipartite pair ({i}, {j}) for {n_left}x{n_right}")
-    if not math.isfinite(ineq.rhs) or not all(math.isfinite(v) for v in coefficients.values()):
+    if not is_finite(ineq.rhs) or not all(map(is_finite, coefficients.values())):
         raise ParameterError("coefficients and rhs must be finite")
     offset = n_left if n_right else 0
     triples = sorted((i, offset + j, w) for (i, j), w in coefficients.items())

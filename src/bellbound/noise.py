@@ -7,7 +7,7 @@ of width 2(1 - eta) around -E(X_i Y_j).  A partition argument turns
 that slack into the worst-case quantity N, the minimum total |b| weight
 that any two-block split of the variables must keep inside a block.
 The violation of a bound-1 inequality then reads
-eta |sum b x.x| - (1 - eta) N, and the critical visibility follows.
+eta sum b x.x - (1 - eta) N, and the critical visibility follows.
 """
 
 from __future__ import annotations
@@ -186,18 +186,20 @@ def partitioned_threshold(
 ) -> ThresholdReport:
     """General critical visibility via the partition noise quantity.
 
-    Requires coefficients normalized to classical bound 1.  With
-    Q = sum b_ij x_i . x_j and N the noise quantity, violation occurs
-    for eta (|Q| + N) > 1 + N, so the threshold is (N + 1) / (N + |Q|).
+    Requires coefficients normalized to classical bound 1.  With the
+    signed quantum sum Q = sum b_ij x_i . x_j and N the noise quantity,
+    violation occurs for eta (Q + N) > 1 + N, so the threshold is
+    (N + 1) / (N + Q).
     """
     n, q = _noise_terms(ineq, config, guard)
-    denominator = n + abs(q)
+    denominator = n + q
     threshold = (n + 1.0) / denominator if denominator > 0 else float("inf")
-    # (N+1)/(N+|Q|) < 1 exactly when |Q| > 1; a quantum sum at or below
-    # the classical bound leaves the raw formula value >= 1, flag down.
+    # (N+1)/(N+Q) < 1 exactly when Q > 1; a quantum sum at or below the
+    # classical bound, negative ones included, leaves the raw formula
+    # value >= 1 (inf when N + Q <= 0), flag down.
     return ThresholdReport(
         eta_threshold=threshold,
-        violation_possible=abs(q) > 1.0,
+        violation_possible=q > 1.0,
         source="partitioned",
         quantum_sum=q,
         noise_quantity=n,
@@ -210,7 +212,7 @@ def noisy_violation(
     eta: float,
     guard: int = DEFAULT_GUARD,
 ) -> float:
-    """Violation value eta |Q| - (1 - eta) N of a bound-1 inequality.
+    """Violation value eta Q - (1 - eta) N of a bound-1 inequality.
 
     Exceeds 1 exactly when the Werner state at visibility eta violates
     the worst-case partitioned form of the inequality.
@@ -218,4 +220,4 @@ def noisy_violation(
     if not (0.0 < eta <= 1.0):
         raise ParameterError(f"eta must lie in (0, 1], got {eta}")
     n, q = _noise_terms(ineq, config, guard)
-    return eta * abs(q) - (1.0 - eta) * n
+    return eta * q - (1.0 - eta) * n

@@ -18,7 +18,7 @@ import numpy as np
 
 from . import enumeration
 from .enumeration import DEFAULT_GUARD
-from .errors import ParameterError
+from .errors import ParameterError, is_finite
 from .quantum import v12_formula, v2k1_formula
 
 FAMILY_BOUQUET12 = "bouquet12"
@@ -178,7 +178,7 @@ def _symmetric_matrix(n: int, coefficients: dict[tuple[int, int], float]) -> np.
     for (i, j), w in coefficients.items():
         if not (0 <= i < j < n):
             raise ParameterError(f"bad pair ({i}, {j}) for {n} variables")
-        if not math.isfinite(w):
+        if not is_finite(w):
             raise ParameterError(f"coefficient on pair ({i}, {j}) is not finite")
         a[i, j] = w
         a[j, i] = w

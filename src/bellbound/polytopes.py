@@ -37,7 +37,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from .enumeration import integer_ratios
-from .errors import ConvergenceError, DimensionError, ParameterError, check_guard, finite_array
+from .errors import (
+    ConvergenceError,
+    DimensionError,
+    ParameterError,
+    check_guard,
+    finite_array,
+    is_finite,
+)
 from .inequalities import MODE_COMPLETE, CutInequality, PairwiseInequality
 
 KIND_BELL = "bell"
@@ -442,7 +449,7 @@ def facet_check(
     of the tight vertices decides whether the face has codimension one.
     """
     coefficients = finite_array(coefficients, "coefficients")
-    if not math.isfinite(rhs):
+    if not is_finite(rhs):
         raise ParameterError(f"rhs must be finite, got {rhs}")
     if coefficients.shape != (spec.ambient_dim,):
         raise DimensionError(

@@ -1,5 +1,6 @@
 """End-to-end command-line behavior, run in process."""
 
+import hashlib
 import json
 import math
 
@@ -8,8 +9,10 @@ import pytest
 
 from bellbound import (
     PairwiseInequality,
+    UnitVectorConfig,
     WebSpec,
     clique_web_inequality,
+    realize,
     web_edges,
 )
 from bellbound.cli import main
@@ -206,6 +209,37 @@ def test_tsirelson_honours_the_guard(capsys, monkeypatch):
     data = json.loads(out)
     assert data["dimension"] == 128
     assert data["passed"] is True
+
+
+# sha256 of tsirelson --dump-operators on CHSH_VECTORS, per format
+DUMP_PINNED = {
+    "json": "87cd558e3a9a30c8499656e4cdba2f5f31d1ae830f8ab3af4564bd7cca852709",
+    "table": "9cb2e701b0cd63c9a4d4ce2fdac6ba9fdf27b4f0fdde5b041ef03d5b1f599844",
+}
+
+
+@pytest.mark.parametrize("fmt", sorted(DUMP_PINNED))
+def test_tsirelson_dump_operators_is_pinned(capsys, fmt):
+    argv = ["tsirelson", "--vectors", CHSH_VECTORS, "--dump-operators", "--format", fmt]
+    code, out, err = run(capsys, argv)
+    assert code == 0 and err == ""
+    assert hashlib.sha256(out.encode()).hexdigest() == DUMP_PINNED[fmt]
+
+
+def test_tsirelson_dump_operators_matches_the_realization(capsys):
+    argv = ["tsirelson", "--vectors", CHSH_VECTORS, "--dump-operators", "--format", "json"]
+    code, out, _ = run(capsys, argv)
+    assert code == 0
+    dumped = json.loads(out)["operators"]
+    realization = realize(UnitVectorConfig.from_json_dict(json.loads(CHSH_VECTORS)))
+    round12 = np.vectorize(lambda x: float(f"{x:.12g}"))
+
+    def pairs(z):
+        return round12(np.stack([np.real(z), np.imag(z)], axis=-1))
+
+    assert np.array_equal(dumped["a"], pairs(realization.a_operators))
+    assert np.array_equal(dumped["b"], pairs(realization.b_operators))
+    assert np.array_equal(dumped["state"], pairs(realization.state))
 
 
 def test_werner_single_eta(capsys):
@@ -569,3 +603,59 @@ def test_ineq_from_file(capsys, tmp_path):
     )
     assert code == 0
     assert json.loads(out)["max_value"] == 4.0
+
+
+# one accepted call per subcommand; the guarded ones read --guard and BELLBOUND_GUARD
+SUBCOMMAND_CALLS = [
+    ["web", "--p", "5", "--q", "2", "--r", "1"],
+    ["cliqueweb", "--p", "5", "--q", "2", "--r", "1"],
+    ["bouquet", "--p", "3", "--q", "2", "--theta-pi", "0.3"],
+    ["qvalue", "--ineq", "triangle", "--vectors", RING3],
+    ["scan-theta", "--family", "b12", "--points", "16"],
+    ["reproduce-paper", "--claims", "chsh-classical-bound"],
+    ["classical-bound", "--ineq", "chsh"],
+    ["member", "--polytope", "bell22", "--point", SINGLET_POINT],
+    ["facet-check", "--polytope", "bell22", "--ineq", "chsh"],
+    ["tsirelson", "--vectors", CHSH_VECTORS],
+    ["werner", "--ineq", "triangle", "--vectors", RING3, "--points", "2"],
+    ["maxcut", "--ineq", "triangle"],
+    ["gram", "--ineq", "chsh", "--restarts", "2"],
+]
+GUARDED = {"classical-bound", "member", "facet-check", "tsirelson", "werner", "maxcut", "gram"}
+
+
+def _exit(capsys, argv):
+    """(exit code, stdout, stderr) of a call that may end in a usage error."""
+    try:
+        code = main(argv)
+    except SystemExit as exc:
+        code = exc.code
+    captured = capsys.readouterr()
+    return code, captured.out, captured.err
+
+
+@pytest.mark.parametrize("argv", SUBCOMMAND_CALLS, ids=lambda argv: argv[0])
+def test_each_subcommand_takes_only_the_options_it_reads(capsys, monkeypatch, argv):
+    command = argv[0]
+    monkeypatch.delenv("BELLBOUND_GUARD", raising=False)
+    plain = _exit(capsys, argv)
+    assert plain[0] == 0
+    for option, reads in ((["--seed", "0"], command == "gram"),
+                          (["--guard", "24"], command in GUARDED)):
+        code, out, err = _exit(capsys, argv + option)
+        if reads:
+            assert code == 0
+        else:
+            assert code == 2 and out == ""
+            assert "usage:" in err and f"unrecognized arguments: {option[0]}" in err
+            assert "Traceback" not in err
+    monkeypatch.setenv("BELLBOUND_GUARD", "abc")
+    code, out, err = _exit(capsys, argv)
+    if command in GUARDED:
+        assert code == 2 and out == ""
+        assert "usage:" in err and "BELLBOUND_GUARD must be an integer" in err
+        assert "Traceback" not in err
+    else:
+        assert (code, out, err) == plain
+    code, out, _ = _exit(capsys, [command, "--help"])
+    assert code == 0 and out.startswith(f"usage: bellbound {command}")

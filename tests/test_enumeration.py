@@ -13,7 +13,10 @@ from bellbound import (
     WebSpec,
     classical_bound,
     clifford_generators,
+    facet_check,
+    gram_ascent,
     max_over_signs,
+    membership,
     min_over_signs,
     noise_quantity,
     verify_alon_theorem,
@@ -187,6 +190,25 @@ def test_weights_that_overflow_a_float_are_refused(pairs):
         max_over_signs(3, pairs)
     with pytest.raises(ParameterError, match="overflows a float"):
         min_over_signs(3, pairs)
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: max_over_signs(2, [(0, 1, 10**400)]),
+        lambda: gram_ascent({(0, 1): 10**400}, 2, 1),
+        lambda: PairwiseInequality("complete", 2, 0, {(0, 1): 10**400}, 1.0),
+        lambda: PairwiseInequality("complete", 2, 0, {(0, 1): 1.0}, 10**400),
+        lambda: facet_check(PolytopeSpec.bell(3), [10**400, 0, 0], 1.0),
+        lambda: facet_check(PolytopeSpec.bell(3), [1.0, 0, 0], 10**400),
+        lambda: membership(PolytopeSpec.bell(3), [10**400, 0, 0]),
+    ],
+    ids=["max-over-signs", "gram-ascent", "coefficient", "rhs", "facet-coefficients",
+         "facet-rhs", "membership-point"],
+)
+def test_ints_too_large_for_a_float_are_refused(call):
+    with pytest.raises(ParameterError, match="finite"):
+        call()
 
 
 def test_weights_just_below_the_float_range_are_enumerated():

@@ -24,6 +24,7 @@ from bellbound import (
     noisy_violation,
     partitioned_threshold,
     planar_ring,
+    quantum_value,
     symmetry_band,
     triangle,
     triangle_threshold,
@@ -198,6 +199,20 @@ def test_noisy_violation():
         noisy_violation(triangle(), ring, 0.0)
     with pytest.raises(ParameterError):
         noisy_violation(triangle(), ring, 1.2)
+
+
+def test_a_quantum_sum_at_the_classical_minimum_does_not_violate():
+    # three equal vectors give Q = -3, which all signs +1 attain classically
+    flat = UnitVectorConfig(np.tile([0.0, 0.0, 1.0], (3, 1)))
+    report = partitioned_threshold(triangle(), flat)
+    assert report.quantum_sum == pytest.approx(-3.0, abs=1e-12)
+    assert not report.violation_possible
+    assert report.violation_possible == quantum_value(triangle(), flat).violated
+    assert report.violation_possible == triangle_threshold(flat).violation_possible
+    assert report.eta_threshold >= 1.0
+    # eta Q - (1 - eta) N with N = 1 stays below the bound at every visibility
+    assert noisy_violation(triangle(), flat, 0.9) == pytest.approx(-2.8, abs=1e-12)
+    assert noisy_violation(triangle(), flat, 1.0) == pytest.approx(-3.0, abs=1e-12)
 
 
 def test_reference_visibilities():
