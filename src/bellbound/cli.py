@@ -3,7 +3,8 @@
 Every subcommand reads the JSON formats documented on the owning
 module, accepts built-in inequality names where a file is expected, and
 emits json, csv, or a plain table.  Floats are printed with 12
-significant digits so tolerances can be audited from the output alone.
+significant digits so tolerances can be audited from the output alone;
+json prints a non-finite float as null, csv and table as inf or nan.
 Exit codes: 0 success, 1 computation failure, 2 usage error.
 """
 
@@ -34,7 +35,7 @@ from .inequalities import (
     triangle,
 )
 from .noise import noise_quantity, noisy_violation, partitioned_threshold
-from .optimize import FAMILY_BOUQUET12, FAMILY_BOUQUET2K1, gram_ascent, scan_theta
+from .optimize import FAMILY_BOUQUET12, FAMILY_BOUQUET2K1, gram_ratio, scan_theta
 from .polytopes import (
     VERTEX_GUARD,
     PolytopeSpec,
@@ -57,11 +58,12 @@ def _round12(x: float) -> float:
 
 
 def _rounded(obj):
-    """Copy a payload with every float cut to 12 significant digits."""
+    """Copy a payload with every float cut to 12 significant digits, and
+    a non-finite one set to None: strict JSON has no Infinity or NaN."""
     if isinstance(obj, bool):
         return obj
     if isinstance(obj, float):
-        return _round12(obj)
+        return _round12(obj) if math.isfinite(obj) else None
     if isinstance(obj, dict):
         return {k: _rounded(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):
@@ -375,14 +377,10 @@ def _cmd_gram(args) -> int:
     ineq = load_inequality(args.ineq)
     if ineq.mode != MODE_COMPLETE:
         ineq = embed_in_complete(ineq)
-    # the bound is enumerated first, so the guard refuses before the ascent runs
-    bound = classical_bound(ineq, guard=args.guard).max_value
-    if bound <= 0:
-        raise ParameterError("classical bound must be positive to take the ratio")
     n = ineq.variable_count
     dim = args.dim if args.dim is not None else n
-    result = gram_ascent(
-        ineq.coefficients, n, dim=dim, restarts=args.restarts, seed=args.seed
+    result, bound = gram_ratio(
+        ineq.coefficients, n, dim, restarts=args.restarts, seed=args.seed, guard=args.guard
     )
     payload = {
         "objective": result.objective,

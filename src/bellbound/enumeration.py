@@ -75,13 +75,11 @@ def integer_ratios(values: Iterable[float]) -> tuple[list[int], int]:
 def walk_memo():
     """Within the block, max_over_signs walks each distinct form once.
 
-    A later call on the same form returns the stored result.  A nested
-    block shares the outer block's memo; the memo is dropped when the
-    outermost block exits, normally or by an exception.
+    A later call on the same form returns the stored result.  The memo
+    is dropped when the block exits, normally or by an exception; a
+    nested block starts a memo of its own and puts the outer one back
+    when it exits.
     """
-    if _memo.get() is not None:
-        yield
-        return
     token = _memo.set({})
     try:
         yield

@@ -120,19 +120,6 @@ def noise_quantity(ineq: PairwiseInequality, guard: int = DEFAULT_GUARD) -> Nois
     )
 
 
-def _noise_terms(
-    ineq: PairwiseInequality, config: UnitVectorConfig, guard: int
-) -> tuple[float, float]:
-    """(N, Q) of an inequality that must be normalized to classical bound 1."""
-    bound = classical_bound(ineq, guard=guard).max_value
-    if abs(bound - 1.0) > _NORMALIZATION_TOL:
-        raise ParameterError(
-            f"threshold formulas require an inequality normalized to classical "
-            f"bound 1, got {bound}"
-        )
-    return noise_quantity(ineq, guard=guard).value, quantum_value(ineq, config).raw_sum
-
-
 def triangle_threshold(config: UnitVectorConfig | None = None) -> ThresholdReport:
     """Critical visibility for the three-cycle inequality.
 
@@ -191,7 +178,14 @@ def partitioned_threshold(
     violation occurs for eta (Q + N) > 1 + N, so the threshold is
     (N + 1) / (N + Q).
     """
-    n, q = _noise_terms(ineq, config, guard)
+    bound = classical_bound(ineq, guard=guard).max_value
+    if abs(bound - 1.0) > _NORMALIZATION_TOL:
+        raise ParameterError(
+            f"threshold formulas require an inequality normalized to classical "
+            f"bound 1, got {bound}"
+        )
+    n = noise_quantity(ineq, guard=guard).value
+    q = quantum_value(ineq, config).raw_sum
     denominator = n + q
     threshold = (n + 1.0) / denominator if denominator > 0 else float("inf")
     # (N+1)/(N+Q) < 1 exactly when Q > 1; a quantum sum at or below the
@@ -219,5 +213,5 @@ def noisy_violation(
     """
     if not (0.0 < eta <= 1.0):
         raise ParameterError(f"eta must lie in (0, 1], got {eta}")
-    n, q = _noise_terms(ineq, config, guard)
-    return eta * q - (1.0 - eta) * n
+    report = partitioned_threshold(ineq, config, guard=guard)
+    return eta * report.quantum_sum - (1.0 - eta) * report.noise_quantity

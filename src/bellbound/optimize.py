@@ -293,6 +293,27 @@ def gram_ascent(
     return replace(best, monotone=monotone, restart_objectives=tuple(restart_objectives))
 
 
+def gram_ratio(
+    coefficients: dict[tuple[int, int], float],
+    n: int,
+    dim: int,
+    restarts: int = 32,
+    seed: int = 0,
+    guard: int = DEFAULT_GUARD,
+) -> tuple[GramAscentResult, float]:
+    """(ascent result, sign optimum): the Grothendieck ratio is result.objective / bound.
+
+    The sign optimum is enumerated first, so the guard refuses before the
+    ascent runs.  Its pairs go in engine_pairs' sorted order, so a float
+    form sums as in classical_bound.  A bound <= 0 is refused.
+    """
+    pairs = sorted((i, j, w) for (i, j), w in coefficients.items())
+    bound, _, _ = enumeration.max_over_signs(n, pairs, guard=guard)
+    if bound <= 0:
+        raise ParameterError("classical bound must be positive to take the ratio")
+    return gram_ascent(coefficients, n, dim, restarts=restarts, seed=seed), bound
+
+
 @dataclass
 class RatioProbeSummary:
     """Vector-to-sign optimum ratios over a set of coefficient instances."""
@@ -310,23 +331,6 @@ class RatioProbeSummary:
     bounds: GrothendieckBounds
 
 
-def _instance_ratio(
-    coefficients: dict[tuple[int, int], float],
-    n: int,
-    dim: int,
-    restarts: int,
-    seed: int,
-    guard: int,
-) -> float:
-    sign_best, _, _ = enumeration.max_over_signs(
-        n, [(i, j, w) for (i, j), w in coefficients.items()], guard=guard
-    )
-    if sign_best <= 0.0:
-        raise ParameterError("instance has nonpositive sign optimum; ratio undefined")
-    ascent = gram_ascent(coefficients, n, dim, restarts=restarts, seed=seed)
-    return ascent.objective / sign_best
-
-
 def ratio_probe(
     n: int,
     instances: int = 100,
@@ -340,14 +344,16 @@ def ratio_probe(
     """Ratios for random (or exhaustively enumerated) +-1 coefficients.
 
     With bipartite_planar the instances put coefficients only across a
-    half/half split of the variables and the ascent runs in the plane,
-    the regime where the ratio is bounded by kg2 = sqrt(2).  Exhaustive
-    mode walks every +-1 pattern on the n(n-1)/2 pairs instead of
-    sampling; each sampled instance draws from a stream split per
-    instance index.
+    half/half split of the variables and the ascent runs in the plane
+    (any other dim is refused), the regime where the ratio is bounded by
+    kg2 = sqrt(2).  Exhaustive mode walks every +-1 pattern on the
+    n(n-1)/2 pairs instead of sampling; each sampled instance draws from
+    a stream split per instance index.
     """
     pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
     if bipartite_planar:
+        if dim not in (None, 2):
+            raise ParameterError(f"the planar bipartite probe runs in dimension 2, got dim={dim}")
         half = n // 2
         pairs = [(i, j) for i in range(half) for j in range(half, n)]
         dim = 2
@@ -372,7 +378,8 @@ def ratio_probe(
     max_ratio = -math.inf
     max_coefficients: dict[tuple[int, int], float] = {}
     for coeffs, inst_seed in zip(patterns, seed_values):
-        ratio = _instance_ratio(coeffs, n, dim, restarts, inst_seed, guard)
+        ascent, bound = gram_ratio(coeffs, n, dim, restarts=restarts, seed=inst_seed, guard=guard)
+        ratio = ascent.objective / bound
         ratios.append(ratio)
         if ratio > max_ratio:
             max_ratio = ratio

@@ -36,7 +36,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .enumeration import integer_ratios
+from .enumeration import INT64_SAFE, integer_ratios
 from .errors import (
     ConvergenceError,
     DimensionError,
@@ -459,7 +459,7 @@ def facet_check(
     *ints, rhs_int = integer_ratios([*coefficients.tolist(), float(rhs)])[0]
 
     # Vertex entries lie in {-1, 0, 1}, so sum |c| bounds every value.
-    fits = sum(abs(c) for c in ints) < 2**62
+    fits = sum(abs(c) for c in ints) < INT64_SAFE
     verts = vertices(spec, guard=guard)
     values = verts @ np.array(ints, dtype=np.int64 if fits else object)
     valid = bool((values <= rhs_int).all())

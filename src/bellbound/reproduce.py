@@ -2,9 +2,9 @@
 
 Each claim binds an expected value, a tolerance, and a closure that
 recomputes the number through the public API.  A quantity that several
-rows read (a theta scan, the (12,3,4) enumeration, the 2x2 singlet-point
-membership) is computed once per run_claims call and dropped when the
-call returns, so every call recomputes from scratch.  The CLI renders
+rows read (a theta scan, the 2x2 singlet-point membership) is computed
+once per run_claims call and dropped when the call returns, so every
+call recomputes from scratch.  The CLI renders
 the table and fails if any row does; the acceptance suite asserts
 through the registry so the table and the suite cannot drift apart.
 """
@@ -19,7 +19,6 @@ from typing import Callable
 
 import numpy as np
 
-from .enumeration import walk_memo
 from .errors import BellboundError
 from .inequalities import (
     PairwiseInequality,
@@ -48,7 +47,7 @@ from .optimize import (
     FAMILY_BOUQUET2K1,
     GROTHENDIECK,
     ThetaScanResult,
-    gram_ascent,
+    gram_ratio,
     ratio_probe,
     scan_theta,
 )
@@ -123,8 +122,9 @@ def _bool(value: bool) -> float:
 
 # Quantities that several rows read.  Each is computed on first use in a
 # run_claims call; run_claims clears these caches when it returns.  Shared
-# enumerations, such as the (12,3,4) bound, need no cache here: run_claims
-# runs inside enumeration.walk_memo, which walks each form once.
+# enumerations, such as the (12,3,4) bound, are not cached here: inside the
+# CLI's enumeration.walk_memo scope each form is walked once, and a call
+# from the API walks each time.
 
 
 @functools.cache
@@ -263,15 +263,7 @@ def _tsirelson_single() -> float:
 
 def _tsirelson_chsh_deviation() -> float:
     config = chsh_settings()
-    report = verify_realization(realize(config), config)
-    return max(
-        report.hermiticity,
-        report.involution,
-        report.tracelessness,
-        report.marginals,
-        report.correlation,
-        report.anticommutator,
-    )
+    return verify_realization(realize(config), config).worst
 
 
 def _bell22_outside() -> float:
@@ -336,8 +328,8 @@ def _noisy_triangle() -> float:
 
 def _gram_ratio(ineq: PairwiseInequality) -> float:
     """Two-dimensional vector ascent over the classical bound."""
-    result = gram_ascent(ineq.coefficients, ineq.variable_count, dim=2, restarts=16, seed=7)
-    return result.objective / classical_bound(ineq).max_value
+    result, bound = gram_ratio(ineq.coefficients, ineq.variable_count, 2, restarts=16, seed=7)
+    return result.objective / bound
 
 
 def _planar_bipartite_bound() -> float:
@@ -489,30 +481,29 @@ def run_claims(selected: list[str] | None = None) -> list[ReproductionRow]:
             raise BellboundError(f"unknown claim ids: {sorted(unknown)}")
     rows = []
     try:
-        with walk_memo():
-            for claim_id, description, source, expected, tolerance, fn in _CLAIMS:
-                if wanted is not None and claim_id not in wanted:
-                    continue
-                try:
-                    computed = float(fn())
-                    passed = bool(abs(computed - expected) <= tolerance)
-                    error = None
-                except BellboundError as exc:
-                    computed = None
-                    passed = False
-                    error = str(exc)
-                rows.append(
-                    ReproductionRow(
-                        claim_id=claim_id,
-                        description=description,
-                        source=source,
-                        expected=expected,
-                        computed=computed,
-                        tolerance=tolerance,
-                        passed=passed,
-                        error=error,
-                    )
+        for claim_id, description, source, expected, tolerance, fn in _CLAIMS:
+            if wanted is not None and claim_id not in wanted:
+                continue
+            try:
+                computed = float(fn())
+                passed = bool(abs(computed - expected) <= tolerance)
+                error = None
+            except BellboundError as exc:
+                computed = None
+                passed = False
+                error = str(exc)
+            rows.append(
+                ReproductionRow(
+                    claim_id=claim_id,
+                    description=description,
+                    source=source,
+                    expected=expected,
+                    computed=computed,
+                    tolerance=tolerance,
+                    passed=passed,
+                    error=error,
                 )
+            )
     finally:
         for shared in _SHARED:
             shared.cache_clear()

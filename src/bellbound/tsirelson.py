@@ -129,18 +129,20 @@ class RealizationReport:
     tolerance: float
 
     @property
-    def passed(self) -> bool:
-        return (
-            max(
-                self.hermiticity,
-                self.involution,
-                self.tracelessness,
-                self.marginals,
-                self.correlation,
-                self.anticommutator,
-            )
-            <= self.tolerance
+    def worst(self) -> float:
+        """The largest of the six deviations."""
+        return max(
+            self.hermiticity,
+            self.involution,
+            self.tracelessness,
+            self.marginals,
+            self.correlation,
+            self.anticommutator,
         )
+
+    @property
+    def passed(self) -> bool:
+        return self.worst <= self.tolerance
 
 
 def verify_realization(

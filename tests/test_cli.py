@@ -13,9 +13,10 @@ from bellbound import (
     WebSpec,
     clique_web_inequality,
     realize,
+    vertices,
     web_edges,
 )
-from bellbound.cli import main
+from bellbound.cli import main, parse_polytope
 
 SQRT2 = math.sqrt(2.0)
 
@@ -148,6 +149,52 @@ def test_member_far_point_is_verified_outside(capsys):
     assert data["distance"] == 1e300
     assert data["separating"]["offset"] == 1.0
     assert data["separating"]["normal"][0] == 1.0
+
+
+# sha256 of member --format json over MEMBER_POLYTOPES x five seeded points,
+# recorded before the Grothendieck ratio and the Werner terms had one owner each
+MEMBER_SHA256 = "e19dbebd02ecc8b0860b8cbaf603677fc9bfdf72313ce7d464578f4fee8cfbd7"
+MEMBER_POLYTOPES = (
+    "bell:4", "bell:5", "bell:6", "bell:7", "bell:8", "bell:9", "cut:6", "cor:5", "bell:3,4",
+)
+
+
+def _member_points(rng, verts):
+    """Two inside points, one on an edge, and two outside, in that order.
+
+    Each coordinate is one correctly rounded operation on integers or
+    dyadic fractions, so the queries are the same bits everywhere.
+    """
+    rows = len(verts)
+    centroid = verts.sum(axis=0) / rows
+    weights = (rng.random(rows) * 16).astype(np.int64) + 1
+    a = int(rng.random() * rows)
+    b = (a + 1 + int(rng.random() * (rows - 1))) % rows
+    v = verts[int(rng.random() * rows)]
+    w = verts[int(rng.random() * rows)]
+    # any two vertices of these polytopes span an edge; a vertex pushed
+    # away from the centroid leaves the polytope
+    return (
+        centroid,
+        (weights @ verts) / weights.sum(),
+        (verts[a] + verts[b]) / 2,
+        v + (v - centroid) / 64,
+        w + 2 * (w - centroid),
+    )
+
+
+def test_member_output_is_unchanged(capsys):
+    rng = np.random.default_rng(20261018)
+    lines = []
+    for name in MEMBER_POLYTOPES:
+        for point in _member_points(rng, vertices(parse_polytope(name))):
+            argv = ["member", "--polytope", name, "--point", json.dumps(point.tolist()),
+                    "--format", "json"]
+            code, out, _ = run(capsys, argv)
+            assert code == 0
+            lines.append(out)
+    assert [json.loads(line)["inside"] for line in lines] == ([True] * 3 + [False] * 2) * 9
+    assert hashlib.sha256("".join(lines).encode()).hexdigest() == MEMBER_SHA256
 
 
 def test_facet_check_chsh(capsys):
@@ -297,6 +344,25 @@ def test_werner_refuses_an_empty_table(capsys, points):
     assert "--points" in payload["message"]
 
 
+def _refuse_constant(name):
+    raise ValueError(f"{name} is not strict JSON")
+
+
+def test_json_prints_a_non_finite_threshold_as_null(capsys):
+    # three equal vectors give N + Q <= 0 on the triangle: no finite threshold
+    argv = ["werner", "--ineq", "triangle", "--vectors", "[[0,0,1],[0,0,1],[0,0,1]]",
+            "--points", "2"]
+    code, out, _ = run(capsys, argv + ["--format", "json"])
+    assert code == 0
+    data = json.loads(out, parse_constant=_refuse_constant)
+    assert data["eta_threshold"] is None
+    assert data["violation_possible"] is False
+    # the table keeps inf
+    code, out, _ = run(capsys, argv)
+    assert code == 0
+    assert "eta_threshold: inf" in out.splitlines()
+
+
 def test_malformed_cliqueweb_name_is_not_read_as_a_file(capsys):
     code, out, err = run(capsys, ["classical-bound", "--ineq", "cliqueweb:5,2"])
     assert code == 1
@@ -350,7 +416,7 @@ def test_gram_refuses_an_oversized_inequality_before_the_ascent(capsys, monkeypa
         raise AssertionError("gram_ascent ran before the guard refused")
 
     monkeypatch.delenv("BELLBOUND_GUARD", raising=False)
-    monkeypatch.setattr("bellbound.cli.gram_ascent", ascent_must_not_run)
+    monkeypatch.setattr("bellbound.optimize.gram_ascent", ascent_must_not_run)
     code, out, err = run(capsys, ["gram", "--ineq", "cliqueweb:61,2,29"])
     assert code == 1
     assert out == ""

@@ -147,6 +147,13 @@ def test_ratio_probe_planar_bipartite():
     assert all(i < 3 <= j for i, j in summary.max_coefficients)
 
 
+def test_ratio_probe_planar_bipartite_refuses_another_dim():
+    for dim in (1, 3, 5):
+        with pytest.raises(ParameterError, match="dimension 2"):
+            ratio_probe(6, instances=3, seed=1, dim=dim, restarts=2, bipartite_planar=True)
+    assert ratio_probe(6, instances=3, seed=1, dim=2, restarts=2, bipartite_planar=True).dim == 2
+
+
 def test_grothendieck_bounds():
     assert GROTHENDIECK.kg2 == pytest.approx(math.sqrt(2.0), abs=1e-15)
     assert GROTHENDIECK.kg3_upper == 1.5163

@@ -7,10 +7,7 @@ import pytest
 from bellbound import (
     BellboundError,
     PolytopeSpec,
-    WebSpec,
     claim_ids,
-    clique_web_inequality,
-    enumeration,
     reproduce,
     run_claims,
 )
@@ -63,28 +60,17 @@ def test_shared_quantities_are_computed_once_per_call(monkeypatch):
             return _original(*args, **kwargs)
 
         monkeypatch.setattr(reproduce, name, recording)
-    # the (12,3,4) bound is shared through the walk memo, so count its walks
-    walks = []
-    original_walk = enumeration._walk
-
-    def recording_walk(n_vars, work):
-        walks.append(work)
-        return original_walk(n_vars, work)
-
-    monkeypatch.setattr(enumeration, "_walk", recording_walk)
-    cliqueweb_12_3_4 = clique_web_inequality(WebSpec(12, 3, 4)).engine_pairs()
     bell22 = PolytopeSpec.bell_bipartite(2, 2)
 
     def counts():
         return (
             sum(a["family"] == FAMILY_BOUQUET12 for a in calls["scan_theta"]),
             sum(a["family"] == FAMILY_BOUQUET2K1 and a["k"] == 1000 for a in calls["scan_theta"]),
-            sum(work == cliqueweb_12_3_4 for work in walks),
             sum(a["spec"] == bell22 for a in calls["membership"]),
         )
 
     assert all(row.passed for row in run_claims())
-    assert counts() == (1, 1, 1, 1)
+    assert counts() == (1, 1, 1)
     # nothing is kept between calls: a second call recomputes each one
     assert all(row.passed for row in run_claims())
-    assert counts() == (2, 2, 2, 2)
+    assert counts() == (2, 2, 2)

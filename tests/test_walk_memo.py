@@ -92,18 +92,18 @@ def test_nothing_survives_the_block(walks):
     assert len(walks) == 4
 
 
-def test_a_nested_block_reuses_the_outer_memo(walks):
+def test_a_nested_block_walks_again_and_keeps_the_outer_memo(walks):
     pairs = [(0, 1, 1.0), (1, 2, -0.5)]
     with walk_memo():
         outer = enumeration._memo.get()
-        max_over_signs(3, pairs)
+        first = max_over_signs(3, pairs)
         with walk_memo():
-            assert enumeration._memo.get() is outer
-            max_over_signs(3, pairs)
-        # leaving the inner block keeps what the outer one stored
+            assert enumeration._memo.get() is not outer
+            assert repr(max_over_signs(3, pairs)) == repr(first)
+        # leaving the inner block puts back the outer memo and what it stored
         assert enumeration._memo.get() is outer
-        max_over_signs(3, pairs)
-    assert len(walks) == 1
+        assert repr(max_over_signs(3, pairs)) == repr(first)
+    assert len(walks) == 2
     assert enumeration._memo.get() is None
 
 
