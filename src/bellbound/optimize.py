@@ -6,6 +6,11 @@ vectors for arbitrary pairwise coefficients.  The ascent's fixed points
 are the stationary configurations of sum a_ij x_i . x_j on the product
 of spheres; the ratio of the vector optimum to the sign optimum is the
 quantity the Grothendieck constants bound.
+
+One kernel, _ascend, runs every ascent: it advances a stack of
+configurations, each a start with its own coefficient matrix.
+gram_ascent stacks the restarts of one form; ratio_probe stacks every
+instance x restart of a probe, so its instances climb together.
 """
 
 from __future__ import annotations
@@ -28,7 +33,8 @@ GOLDEN_RATIO = (math.sqrt(5.0) - 1.0) / 2.0
 THETA_TOLERANCE = 1e-10
 ASCENT_TOLERANCE = 1e-10
 ASCENT_SWEEP_CAP = 2000
-# restarts advanced together; bounds the stacks at ASCENT_BLOCK * n * max(n, dim) floats
+# configurations (instance x restart) advanced together; bounds the stacks at
+# ASCENT_BLOCK * n * max(n, dim) floats
 ASCENT_BLOCK = 64
 RATIO_VIOLATION_TOL = 1e-9
 
@@ -185,14 +191,20 @@ def _symmetric_matrix(n: int, coefficients: dict[tuple[int, int], float]) -> np.
     return a
 
 
-def _unit_start(child: np.random.SeedSequence, n: int, dim: int) -> np.ndarray:
-    """One restart's random unit vectors, drawn from its own seed stream."""
-    rng = np.random.default_rng(child)
-    x = rng.normal(size=(n, dim))
-    norms = np.linalg.norm(x, axis=1)
+def _check_ascent_sizes(n: int, dim: int, restarts: int) -> None:
+    if dim < 1 or dim > n:
+        raise ParameterError(f"dim must lie in 1..{n}, got {dim}")
+    if restarts < 1:
+        raise ParameterError("need at least one restart")
+
+
+def _unit_starts(children, n: int, dim: int) -> np.ndarray:
+    """Random unit vectors per restart, each drawn from its own seed stream, as one stack."""
+    x = np.stack([np.random.default_rng(c).normal(size=(n, dim)) for c in children])
+    norms = np.linalg.norm(x, axis=2)
     degenerate = norms < 1e-12
     norms[degenerate] = 1.0
-    x /= norms[:, None]
+    x /= norms[..., None]
     x[degenerate] = np.eye(1, dim)[0]
     return x
 
@@ -203,27 +215,30 @@ def _objectives(a: np.ndarray, stack: np.ndarray) -> np.ndarray:
 
 
 def _ascend(a: np.ndarray, stack: np.ndarray):
-    """Run the round-robin ascent on a stack of starts, in place.
+    """Run the round-robin ascent on a stack of configurations, in place.
 
-    Every restart still climbing advances in the same sweep; a restart
-    whose objective rose by less than ASCENT_TOLERANCE is frozen there
-    and leaves the working stack.  Each product below (the gradient
-    a[i] @ x, its squared norm g . g, and the objective) is taken per
-    stacked configuration by the same kernel as for a single one, so
-    every restart gets the bits it would get alone.  Returns the final
-    objectives, the sweeps and converged flags per restart, and whether
-    no sweep lowered an objective by more than 1e-12.
+    a holds each configuration's coefficient matrix, shape (count, n, n),
+    and stack its start, shape (count, n, dim); the configurations may
+    be restarts of one form or of many.  Every configuration still
+    climbing advances in the same sweep; one whose objective rose by
+    less than ASCENT_TOLERANCE is frozen there and leaves the working
+    stacks.  Each product below (the gradient a[i] @ x, its squared
+    norm g . g, and the objective) is taken per configuration by the
+    same kernel as for a single one, so every configuration gets the
+    bits it would get alone.  Returns per configuration the final
+    objective, the sweeps, the converged flag and whether no sweep
+    lowered its objective by more than 1e-12.
     """
     count, n, _ = stack.shape
     values = _objectives(a, stack)
     sweeps = np.full(count, ASCENT_SWEEP_CAP)
     converged = np.zeros(count, dtype=bool)
-    monotone = True
+    monotone = np.ones(count, dtype=bool)
     live = np.arange(count)
     work = stack
     for sweep in range(1, ASCENT_SWEEP_CAP + 1):
         for i in range(n):
-            g = a[i] @ work
+            g = (a[:, i, None] @ work)[:, 0]
             norm = np.sqrt(np.matmul(g[:, None, :], g[:, :, None])[:, 0, 0])
             moves = norm > 1e-14
             if moves.all():
@@ -233,15 +248,14 @@ def _ascend(a: np.ndarray, stack: np.ndarray):
                 work[moves, i] = g[moves] / norm[moves, None]
         new = _objectives(a, work)
         old = values[live]
-        if (new < old - 1e-12).any():
-            monotone = False
+        monotone[live[new < old - 1e-12]] = False
         values[live] = new
         done = new - old < ASCENT_TOLERANCE
         if done.any():
             sweeps[live[done]] = sweep
             converged[live[done]] = True
             stack[live[done]] = work[done]
-            live, work = live[~done], work[~done]
+            live, work, a = live[~done], work[~done], a[~done]
             if live.size == 0:
                 break
     stack[live] = work
@@ -265,10 +279,7 @@ def gram_ascent(
     ASCENT_BLOCK, each giving the same bits as when run alone; the first
     restart with the largest objective is returned.
     """
-    if dim < 1 or dim > n:
-        raise ParameterError(f"dim must lie in 1..{n}, got {dim}")
-    if restarts < 1:
-        raise ParameterError("need at least one restart")
+    _check_ascent_sizes(n, dim, restarts)
     a = _symmetric_matrix(n, coefficients)
 
     best: GramAscentResult | None = None
@@ -276,9 +287,11 @@ def gram_ascent(
     restart_objectives: list[float] = []
     children = np.random.SeedSequence(seed).spawn(restarts)
     for first in range(0, restarts, ASCENT_BLOCK):
-        stack = np.stack([_unit_start(c, n, dim) for c in children[first : first + ASCENT_BLOCK]])
-        values, sweeps, converged, block_monotone = _ascend(a, stack)
-        monotone = monotone and block_monotone
+        stack = _unit_starts(children[first : first + ASCENT_BLOCK], n, dim)
+        values, sweeps, converged, block_monotone = _ascend(
+            np.broadcast_to(a, (len(stack), n, n)), stack
+        )
+        monotone = monotone and bool(block_monotone.all())
         restart_objectives.extend(values.tolist())
         k = int(np.argmax(values))
         if best is None or values[k] > best.objective:
@@ -293,6 +306,19 @@ def gram_ascent(
     return replace(best, monotone=monotone, restart_objectives=tuple(restart_objectives))
 
 
+def _sign_optimum(coefficients: dict[tuple[int, int], float], n: int, guard: int):
+    """The sign optimum a Grothendieck ratio divides by; a bound <= 0 is refused.
+
+    Its pairs go in engine_pairs' sorted order, so a float form sums as
+    in classical_bound.
+    """
+    pairs = sorted((i, j, w) for (i, j), w in coefficients.items())
+    bound, _, _ = enumeration.max_over_signs(n, pairs, guard=guard)
+    if bound <= 0:
+        raise ParameterError("classical bound must be positive to take the ratio")
+    return bound
+
+
 def gram_ratio(
     coefficients: dict[tuple[int, int], float],
     n: int,
@@ -303,14 +329,12 @@ def gram_ratio(
 ) -> tuple[GramAscentResult, float]:
     """(ascent result, sign optimum): the Grothendieck ratio is result.objective / bound.
 
-    The sign optimum is enumerated first, so the guard refuses before the
-    ascent runs.  Its pairs go in engine_pairs' sorted order, so a float
-    form sums as in classical_bound.  A bound <= 0 is refused.
+    dim and restarts are checked, then the sign optimum (_sign_optimum)
+    is enumerated, so a bad size, the guard and a bound <= 0 all refuse
+    before the ascent runs.
     """
-    pairs = sorted((i, j, w) for (i, j), w in coefficients.items())
-    bound, _, _ = enumeration.max_over_signs(n, pairs, guard=guard)
-    if bound <= 0:
-        raise ParameterError("classical bound must be positive to take the ratio")
+    _check_ascent_sizes(n, dim, restarts)
+    bound = _sign_optimum(coefficients, n, guard)
     return gram_ascent(coefficients, n, dim, restarts=restarts, seed=seed), bound
 
 
@@ -349,6 +373,13 @@ def ratio_probe(
     kg2 = sqrt(2).  Exhaustive mode walks every +-1 pattern on the
     n(n-1)/2 pairs instead of sampling; each sampled instance draws from
     a stream split per instance index.
+
+    Every instance's sign optimum is taken (_sign_optimum) before any
+    ascent, so the guard and a bound <= 0 refuse first.  Then all
+    instance x restart configurations climb together in blocks of
+    ASCENT_BLOCK, each restart seeded as gram_ascent(coeffs, n, dim,
+    restarts, instance seed) seeds it and giving the same bits, so each
+    ratio is that call's objective over the sign optimum.
     """
     pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
     if bipartite_planar:
@@ -359,6 +390,9 @@ def ratio_probe(
         dim = 2
     if dim is None:
         dim = n
+    if not exhaustive and instances < 1:
+        raise ParameterError(f"need at least one instance, got {instances}")
+    _check_ascent_sizes(n, dim, restarts)
 
     patterns: list[dict[tuple[int, int], float]] = []
     if exhaustive:
@@ -373,13 +407,30 @@ def ratio_probe(
             signs = rng.integers(0, 2, size=len(pairs)) * 2.0 - 1.0
             patterns.append(dict(zip(pairs, signs)))
             seed_values.append(int(rng.integers(0, 2**31 - 1)))
+    bounds = [_sign_optimum(coeffs, n, guard) for coeffs in patterns]
+
+    def configurations():
+        for k, (coeffs, inst_seed) in enumerate(zip(patterns, seed_values)):
+            a = _symmetric_matrix(n, coeffs)
+            for child in np.random.SeedSequence(inst_seed).spawn(restarts):
+                yield k, a, child
+
+    # the first restart with the largest objective wins, as in gram_ascent
+    objectives = [-math.inf] * len(patterns)
+    pending = configurations()
+    while block := list(itertools.islice(pending, ASCENT_BLOCK)):
+        owners, matrices, children = zip(*block)
+        stack = _unit_starts(children, n, dim)
+        values = _ascend(np.stack(matrices), stack)[0]
+        for k, value in zip(owners, values.tolist()):
+            if value > objectives[k]:
+                objectives[k] = value
 
     ratios = []
     max_ratio = -math.inf
     max_coefficients: dict[tuple[int, int], float] = {}
-    for coeffs, inst_seed in zip(patterns, seed_values):
-        ascent, bound = gram_ratio(coeffs, n, dim, restarts=restarts, seed=inst_seed, guard=guard)
-        ratio = ascent.objective / bound
+    for coeffs, objective, bound in zip(patterns, objectives, bounds):
+        ratio = objective / bound
         ratios.append(ratio)
         if ratio > max_ratio:
             max_ratio = ratio

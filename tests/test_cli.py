@@ -423,6 +423,19 @@ def test_gram_refuses_an_oversized_inequality_before_the_ascent(capsys, monkeypa
     assert json.loads(err)["error"] == "ResourceLimitError"
 
 
+def test_gram_refuses_bad_sizes_before_the_enumeration(capsys, monkeypatch):
+    def enumeration_must_not_run(*args, **kwargs):
+        raise AssertionError("the sign optimum was enumerated before the sizes were checked")
+
+    monkeypatch.setattr("bellbound.enumeration.max_over_signs", enumeration_must_not_run)
+    for flags, message in ((["--dim", "0"], "dim must lie in 1..4, got 0"),
+                           (["--restarts", "0"], "need at least one restart")):
+        code, out, err = run(capsys, ["gram", "--ineq", "chsh"] + flags)
+        assert code == 1
+        assert out == ""
+        assert json.loads(err) == {"error": "ParameterError", "message": message}
+
+
 def test_twelve_digit_formatting(capsys):
     _, out, _ = run(
         capsys,

@@ -10,8 +10,10 @@ from bellbound import (
     FAMILY_BOUQUET2K1,
     GROTHENDIECK,
     ParameterError,
+    ResourceLimitError,
     golden_section_max,
     gram_ascent,
+    optimize,
     ratio_probe,
     scan_theta,
     v12_formula,
@@ -152,6 +154,40 @@ def test_ratio_probe_planar_bipartite_refuses_another_dim():
         with pytest.raises(ParameterError, match="dimension 2"):
             ratio_probe(6, instances=3, seed=1, dim=dim, restarts=2, bipartite_planar=True)
     assert ratio_probe(6, instances=3, seed=1, dim=2, restarts=2, bipartite_planar=True).dim == 2
+
+
+def test_ratio_probe_refuses_bad_sizes_before_any_work(monkeypatch):
+    def no_enumeration(*args, **kwargs):
+        raise AssertionError("enumerated before the sizes were checked")
+
+    monkeypatch.setattr(optimize.enumeration, "max_over_signs", no_enumeration)
+    # used to raise ZeroDivisionError from mean_ratio and OverflowError from spawn
+    for instances in (0, -1):
+        with pytest.raises(ParameterError, match="at least one instance"):
+            ratio_probe(4, instances=instances)
+    with pytest.raises(ParameterError, match="need at least one restart"):
+        ratio_probe(4, instances=3, restarts=0)
+    for dim in (0, 5):
+        with pytest.raises(ParameterError, match=rf"dim must lie in 1\.\.4, got {dim}"):
+            ratio_probe(4, instances=3, dim=dim)
+    with pytest.raises(ParameterError, match=r"dim must lie in 1\.\.3, got 4"):
+        ratio_probe(3, exhaustive=True, dim=4)
+
+
+def test_ratio_probe_refuses_before_any_ascent(monkeypatch):
+    calls = []
+    ascend = optimize._ascend
+    monkeypatch.setattr(optimize, "_ascend", lambda *args: calls.append(1) or ascend(*args))
+    with pytest.raises(ResourceLimitError):
+        ratio_probe(8, instances=3, restarts=2, guard=6)
+    # one variable has no pairs, so every sign optimum is 0
+    with pytest.raises(ParameterError, match="classical bound must be positive"):
+        ratio_probe(1, instances=3, restarts=2)
+    with pytest.raises(ParameterError, match="classical bound must be positive"):
+        ratio_probe(1, exhaustive=True)
+    assert calls == []
+    ratio_probe(3, instances=2, restarts=2)
+    assert calls == [1]
 
 
 def test_grothendieck_bounds():
