@@ -29,6 +29,8 @@ import contextvars
 import functools
 import math
 import numbers
+from collections.abc import Mapping
+from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -71,6 +73,75 @@ def integer_ratios(values: Iterable[float]) -> tuple[list[int], int]:
     return [n * (denominator // d) for n, d in ratios], denominator
 
 
+@dataclass(frozen=True)
+class Form:
+    """sum of w * X_i * X_j over (i, j, w) pairs on n variables, checked once.
+
+    Pairs need 0 <= i < j < n, finite weights and an absolute sum that
+    fits a float (else the maximum may not).  They keep the order given,
+    repeats too, as float sums and the walk_memo key follow it.
+    """
+
+    n: int
+    pairs: tuple[tuple[int, int, float], ...]
+
+    def __post_init__(self):
+        pairs = tuple(self.pairs)
+        for i, j, w in pairs:
+            if not (0 <= i < j < self.n):
+                raise ParameterError(f"bad pair ({i}, {j}) for {self.n} variables")
+            if not is_finite(w):
+                raise ParameterError(f"weight on pair ({i}, {j}) is not finite")
+        try:
+            total = math.fsum(abs(w) for _, _, w in pairs)
+        except OverflowError:
+            total = math.inf
+        if not math.isfinite(total):
+            raise ParameterError("the absolute sum of the weights overflows a float")
+        object.__setattr__(self, "pairs", pairs)
+
+    @classmethod
+    def of(cls, n: int, coefficients) -> "Form":
+        """coefficients as a Form on n variables, checked unless already one.
+
+        A mapping {(i, j): w} is read in sorted pair order, as engine_pairs.
+        """
+        if isinstance(coefficients, Form):
+            if coefficients.n != n:
+                raise ParameterError(f"a form on {coefficients.n} variables used for {n}")
+            return coefficients
+        if isinstance(coefficients, Mapping):
+            coefficients = sorted((i, j, w) for (i, j), w in coefficients.items())
+        return cls(n, coefficients)
+
+    def __iter__(self):
+        return iter(self.pairs)
+
+    @functools.cached_property
+    def key(self):
+        """(n, exact, work, denominator): the walk's input and walk_memo key.
+
+        work holds exact (integer or half-integer) weights as ints times
+        the denominator, others as floats.  -0.0 == 0.0 in a key is
+        harmless because every sum in the walk starts at 0.
+        """
+        numerators, denominator = integer_ratios(w for _, _, w in self.pairs)
+        exact = denominator <= 2
+        if exact:
+            work = tuple((i, j, c) for (i, j, _), c in zip(self.pairs, numerators))
+        else:
+            work = tuple((i, j, float(w)) for i, j, w in self.pairs)
+        return self.n, exact, work, denominator
+
+    @functools.cached_property
+    def matrix(self) -> np.ndarray:
+        """a[i, j] = a[j, i] = w; a repeated pair adds up, a lone -0.0 keeps its sign."""
+        a = np.zeros((self.n, self.n))
+        for i, j, w in self.pairs:
+            a[i, j] = a[j, i] = a[i, j] + w if a[i, j] else w
+        return a
+
+
 @contextlib.contextmanager
 def walk_memo():
     """Within the block, max_over_signs walks each distinct form once.
@@ -103,7 +174,8 @@ def max_over_signs(
 
     Args:
         n_vars: number of +-1 variables.
-        pairs: (i, j, weight) triples with 0 <= i < j < n_vars.
+        pairs: a Form on n_vars variables, or (i, j, weight) triples with
+            0 <= i < j < n_vars, which are checked as Form checks them.
         guard: refuse runs with more than this many variables.
 
     Returns:
@@ -115,34 +187,13 @@ def max_over_signs(
         the steps taken by this call.
 
     Raises:
-        ParameterError: a bad pair, a weight that is not finite, or
-            weights whose absolute sum overflows a float, which would
-            make the maximum overflow too.
+        ParameterError: no variables, or triples that Form refuses.
     """
     if n_vars < 1:
         raise ParameterError(f"need at least one variable, got {n_vars}")
     check_guard(n_vars, guard, "variables")
-    for i, j, w in pairs:
-        if not (0 <= i < j < n_vars):
-            raise ParameterError(f"bad pair ({i}, {j}) for {n_vars} variables")
-        if not is_finite(w):
-            raise ParameterError(f"weight on pair ({i}, {j}) is not finite")
-    try:
-        total = math.fsum(abs(w) for _, _, w in pairs)
-    except OverflowError:
-        total = math.inf
-    if not math.isfinite(total):
-        raise ParameterError("the absolute sum of the weights overflows a float")
-
-    numerators, denominator = integer_ratios(w for _, _, w in pairs)
-    exact = denominator <= 2
-    if exact:
-        work = tuple((i, j, c) for (i, j, _), c in zip(pairs, numerators))
-    else:
-        work = tuple((i, j, float(w)) for i, j, w in pairs)
-    # Equal keys walk alike: the weights are already Python ints or floats,
-    # and -0.0 == 0.0 is harmless because every sum in the walk starts at 0.
-    key = (n_vars, exact, work, denominator)
+    key = Form.of(n_vars, pairs).key
+    _, exact, work, denominator = key
     memo = _memo.get()
     if memo is not None and key in memo:
         return memo[key]

@@ -11,13 +11,14 @@ finite cube, computed here by exact enumeration.
 
 from __future__ import annotations
 
+import functools
 import json
 from dataclasses import dataclass, field
 from types import MappingProxyType
 from typing import Iterable, Mapping
 
 from . import enumeration
-from .enumeration import DEFAULT_GUARD
+from .enumeration import DEFAULT_GUARD, Form
 from .errors import DimensionError, ParameterError, is_finite, json_int, json_number
 
 MODE_COMPLETE = "complete"
@@ -92,6 +93,11 @@ class PairwiseInequality:
         sorted by pair, and every evaluation sums in this order.
         """
         return self._pairs
+
+    @functools.cached_property
+    def form(self) -> Form:
+        """engine_pairs as a Form, checked when classical_bound first asks."""
+        return Form(self.variable_count, self._pairs)
 
     def to_json_dict(self) -> dict:
         return {
@@ -186,9 +192,7 @@ def classical_bound(ineq: PairwiseInequality, guard: int = DEFAULT_GUARD) -> Cla
     are accumulated in exact integers; ties are broken by the first
     maximizer in Gray-code order.
     """
-    best, arg, evals = enumeration.max_over_signs(
-        ineq.variable_count, ineq.engine_pairs(), guard=guard
-    )
+    best, arg, evals = enumeration.max_over_signs(ineq.variable_count, ineq.form, guard=guard)
     return ClassicalBoundResult(
         max_value=best, argmax=SignAssignment(arg), evaluations=evals
     )

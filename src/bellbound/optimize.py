@@ -22,8 +22,8 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import enumeration
-from .enumeration import DEFAULT_GUARD
-from .errors import ParameterError, is_finite
+from .enumeration import DEFAULT_GUARD, Form
+from .errors import ParameterError, check_guard
 from .quantum import v12_formula, v2k1_formula
 
 FAMILY_BOUQUET12 = "bouquet12"
@@ -37,6 +37,8 @@ ASCENT_SWEEP_CAP = 2000
 # ASCENT_BLOCK * n * max(n, dim) floats
 ASCENT_BLOCK = 64
 RATIO_VIOLATION_TOL = 1e-9
+# an exhaustive ratio_probe runs 2^pairs patterns; more pairs are refused
+EXHAUSTIVE_PAIR_LIMIT = 15
 
 
 @dataclass(frozen=True)
@@ -180,15 +182,7 @@ class GramAscentResult:
 
 
 def _symmetric_matrix(n: int, coefficients: dict[tuple[int, int], float]) -> np.ndarray:
-    a = np.zeros((n, n))
-    for (i, j), w in coefficients.items():
-        if not (0 <= i < j < n):
-            raise ParameterError(f"bad pair ({i}, {j}) for {n} variables")
-        if not is_finite(w):
-            raise ParameterError(f"coefficient on pair ({i}, {j}) is not finite")
-        a[i, j] = w
-        a[j, i] = w
-    return a
+    return Form.of(n, coefficients).matrix
 
 
 def _check_ascent_sizes(n: int, dim: int, restarts: int) -> None:
@@ -263,7 +257,7 @@ def _ascend(a: np.ndarray, stack: np.ndarray):
 
 
 def gram_ascent(
-    coefficients: dict[tuple[int, int], float],
+    coefficients: dict[tuple[int, int], float] | Form,
     n: int,
     dim: int,
     restarts: int = 32,
@@ -306,14 +300,9 @@ def gram_ascent(
     return replace(best, monotone=monotone, restart_objectives=tuple(restart_objectives))
 
 
-def _sign_optimum(coefficients: dict[tuple[int, int], float], n: int, guard: int):
-    """The sign optimum a Grothendieck ratio divides by; a bound <= 0 is refused.
-
-    Its pairs go in engine_pairs' sorted order, so a float form sums as
-    in classical_bound.
-    """
-    pairs = sorted((i, j, w) for (i, j), w in coefficients.items())
-    bound, _, _ = enumeration.max_over_signs(n, pairs, guard=guard)
+def _sign_optimum(form: Form, guard: int):
+    """The sign optimum a Grothendieck ratio divides by; a bound <= 0 is refused."""
+    bound, _, _ = enumeration.max_over_signs(form.n, form, guard=guard)
     if bound <= 0:
         raise ParameterError("classical bound must be positive to take the ratio")
     return bound
@@ -329,13 +318,15 @@ def gram_ratio(
 ) -> tuple[GramAscentResult, float]:
     """(ascent result, sign optimum): the Grothendieck ratio is result.objective / bound.
 
-    dim and restarts are checked, then the sign optimum (_sign_optimum)
-    is enumerated, so a bad size, the guard and a bound <= 0 all refuse
-    before the ascent runs.
+    dim and restarts are checked, then one Form of the coefficients
+    gives the sign optimum (_sign_optimum) and the ascent's matrix, so a
+    bad size, a bad pair, the guard and a bound <= 0 all refuse before
+    the ascent runs.
     """
     _check_ascent_sizes(n, dim, restarts)
-    bound = _sign_optimum(coefficients, n, guard)
-    return gram_ascent(coefficients, n, dim, restarts=restarts, seed=seed), bound
+    form = Form.of(n, coefficients)
+    bound = _sign_optimum(form, guard)
+    return gram_ascent(form, n, dim, restarts=restarts, seed=seed), bound
 
 
 @dataclass
@@ -371,8 +362,9 @@ def ratio_probe(
     half/half split of the variables and the ascent runs in the plane
     (any other dim is refused), the regime where the ratio is bounded by
     kg2 = sqrt(2).  Exhaustive mode walks every +-1 pattern on the
-    n(n-1)/2 pairs instead of sampling; each sampled instance draws from
-    a stream split per instance index.
+    n(n-1)/2 pairs instead of sampling, and refuses more than
+    EXHAUSTIVE_PAIR_LIMIT pairs before it builds one; each sampled
+    instance draws from a stream split per instance index.
 
     Every instance's sign optimum is taken (_sign_optimum) before any
     ascent, so the guard and a bound <= 0 refuse first.  Then all
@@ -394,24 +386,26 @@ def ratio_probe(
         raise ParameterError(f"need at least one instance, got {instances}")
     _check_ascent_sizes(n, dim, restarts)
 
-    patterns: list[dict[tuple[int, int], float]] = []
     if exhaustive:
-        for signs in itertools.product([1.0, -1.0], repeat=len(pairs)):
-            patterns.append(dict(zip(pairs, signs)))
+        check_guard(len(pairs), EXHAUSTIVE_PAIR_LIMIT, "coefficient pairs")
+        patterns = list(itertools.product([1.0, -1.0], repeat=len(pairs)))
         seed_values = [seed] * len(patterns)
     else:
         children = np.random.SeedSequence(seed).spawn(instances)
-        seed_values = []
+        patterns, seed_values = [], []
         for child in children:
             rng = np.random.default_rng(child)
-            signs = rng.integers(0, 2, size=len(pairs)) * 2.0 - 1.0
-            patterns.append(dict(zip(pairs, signs)))
+            patterns.append(rng.integers(0, 2, size=len(pairs)) * 2.0 - 1.0)
             seed_values.append(int(rng.integers(0, 2**31 - 1)))
-    bounds = [_sign_optimum(coeffs, n, guard) for coeffs in patterns]
+    # one Form per pattern gives its sign optimum and its matrix; only those are kept
+    bounds, instance_matrices = [], []
+    for signs in patterns:
+        form = Form(n, [(i, j, w) for (i, j), w in zip(pairs, signs)])
+        bounds.append(_sign_optimum(form, guard))
+        instance_matrices.append(form.matrix)
 
     def configurations():
-        for k, (coeffs, inst_seed) in enumerate(zip(patterns, seed_values)):
-            a = _symmetric_matrix(n, coeffs)
+        for k, (a, inst_seed) in enumerate(zip(instance_matrices, seed_values)):
             for child in np.random.SeedSequence(inst_seed).spawn(restarts):
                 yield k, a, child
 
@@ -426,15 +420,8 @@ def ratio_probe(
             if value > objectives[k]:
                 objectives[k] = value
 
-    ratios = []
-    max_ratio = -math.inf
-    max_coefficients: dict[tuple[int, int], float] = {}
-    for coeffs, objective, bound in zip(patterns, objectives, bounds):
-        ratio = objective / bound
-        ratios.append(ratio)
-        if ratio > max_ratio:
-            max_ratio = ratio
-            max_coefficients = dict(coeffs)
+    ratios = [objective / bound for objective, bound in zip(objectives, bounds)]
+    best = max(range(len(ratios)), key=ratios.__getitem__)  # the first largest
 
     return RatioProbeSummary(
         n=n,
@@ -443,9 +430,9 @@ def ratio_probe(
         seed=None if exhaustive else seed,
         exhaustive=exhaustive,
         ratios=tuple(ratios),
-        max_ratio=max_ratio,
+        max_ratio=ratios[best],
         mean_ratio=sum(ratios) / len(ratios),
-        max_coefficients=max_coefficients,
+        max_coefficients=dict(zip(pairs, patterns[best])),
         violating_count=sum(1 for r in ratios if r > 1.0 + RATIO_VIOLATION_TOL),
         bounds=GROTHENDIECK,
     )

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionError, ParameterError, finite_array
+from .errors import DimensionError, ParameterError, finite_array, json_int
 from .inequalities import MODE_COMPLETE, PairwiseInequality
 
 UNIT_NORM_TOL = 1e-12
@@ -54,9 +54,13 @@ class UnitVectorConfig:
     @classmethod
     def from_json_dict(cls, data: dict) -> "UnitVectorConfig":
         try:
-            return cls(vectors=data["vectors"])
+            config = cls(vectors=data["vectors"])
         except KeyError as exc:
             raise ParameterError(f"vector JSON is missing field {exc}") from exc
+        # dim may be left out; when given it must agree with the vectors
+        if "dim" in data and (dim := json_int(data["dim"], "dim")) != config.dim:
+            raise DimensionError(f"dim is {dim} but the vectors have {config.dim} components")
+        return config
 
     def to_json(self, indent: int | None = 2) -> str:
         return json.dumps(self.to_json_dict(), indent=indent, sort_keys=True)

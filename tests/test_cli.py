@@ -674,6 +674,26 @@ def test_weights_that_overflow_a_float_are_refused(capsys, pairs):
     }
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [["qvalue", "--ineq", "triangle"], ["werner", "--ineq", "triangle", "--points", "2"], ["tsirelson"]],
+    ids=lambda argv: argv[0],
+)
+def test_vectors_json_dim_must_match_the_vectors(capsys, argv):
+    vectors = [[1.0, 0.0, 0.0], [-0.5, math.sqrt(3.0) / 2.0, 0.0], [-0.5, -math.sqrt(3.0) / 2.0, 0.0]]
+
+    def call(data):
+        return run(capsys, argv + ["--vectors", json.dumps(data)])
+
+    plain = call({"vectors": vectors})
+    assert plain[0] == 0
+    assert call({"dim": 3, "vectors": vectors}) == plain
+    for dim, error in ((7, "DimensionError"), (2, "DimensionError"), (True, "ParameterError")):
+        code, out, err = call({"dim": dim, "vectors": vectors})
+        assert (code, out) == (1, "")
+        assert json.loads(err)["error"] == error
+
+
 def test_ineq_from_file(capsys, tmp_path):
     path = tmp_path / "ineq.json"
     path.write_text(clique_web_inequality(WebSpec(5, 2, 1)).to_json())

@@ -15,6 +15,7 @@ from bellbound import (
     clifford_generators,
     facet_check,
     gram_ascent,
+    gram_ratio,
     max_over_signs,
     membership,
     min_over_signs,
@@ -22,7 +23,8 @@ from bellbound import (
     verify_alon_theorem,
     vertices,
 )
-from bellbound.enumeration import gray_flip_sequence, integer_ratios
+from bellbound import enumeration
+from bellbound.enumeration import Form, gray_flip_sequence, integer_ratios
 
 SEED = 20260818
 
@@ -197,14 +199,16 @@ def test_weights_that_overflow_a_float_are_refused(pairs):
     [
         lambda: max_over_signs(2, [(0, 1, 10**400)]),
         lambda: gram_ascent({(0, 1): 10**400}, 2, 1),
+        lambda: gram_ratio({(0, 1): 10**400}, 2, 1),
+        lambda: Form(2, [(0, 1, 10**400)]),
         lambda: PairwiseInequality("complete", 2, 0, {(0, 1): 10**400}, 1.0),
         lambda: PairwiseInequality("complete", 2, 0, {(0, 1): 1.0}, 10**400),
         lambda: facet_check(PolytopeSpec.bell(3), [10**400, 0, 0], 1.0),
         lambda: facet_check(PolytopeSpec.bell(3), [1.0, 0, 0], 10**400),
         lambda: membership(PolytopeSpec.bell(3), [10**400, 0, 0]),
     ],
-    ids=["max-over-signs", "gram-ascent", "coefficient", "rhs", "facet-coefficients",
-         "facet-rhs", "membership-point"],
+    ids=["max-over-signs", "gram-ascent", "gram-ratio", "form", "coefficient", "rhs",
+         "facet-coefficients", "facet-rhs", "membership-point"],
 )
 def test_ints_too_large_for_a_float_are_refused(call):
     with pytest.raises(ParameterError, match="finite"):
@@ -213,3 +217,50 @@ def test_ints_too_large_for_a_float_are_refused(call):
 
 def test_weights_just_below_the_float_range_are_enumerated():
     assert max_over_signs(3, [(0, 1, 1e308), (0, 2, -0.7e308)])[0] == 1.7e308
+
+
+def reference_symmetric_matrix(n, coefficients):
+    """The float matrix as optimize._symmetric_matrix built it before Form."""
+    a = np.zeros((n, n))
+    for (i, j), w in coefficients.items():
+        a[i, j] = w
+        a[j, i] = w
+    return a
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_form_matrix_matches_the_pairwise_loop(seed):
+    rng = np.random.default_rng(SEED + seed)
+    n = int(rng.integers(2, 10))
+    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+    # a random subset in random insertion order, with signed zeros among the weights
+    chosen = rng.permutation(len(pairs))[: int(rng.integers(1, len(pairs) + 1))]
+    palette = [-0.0, 0.0, -0.0, 1, -2, 0.5, np.float64(-1.5)]
+    coefficients = {
+        pairs[k]: palette[int(rng.integers(len(palette)))] if rng.random() < 0.6 else float(rng.normal())
+        for k in chosen
+    }
+    expected = reference_symmetric_matrix(n, coefficients)
+    got = Form.of(n, coefficients).matrix
+    assert np.array_equal(got, expected)
+    assert np.array_equal(np.signbit(got), np.signbit(expected))
+
+
+def test_form_keeps_its_pairs_and_is_checked_once(monkeypatch):
+    triples = [(1, 2, 0.25), (0, 1, -1), (1, 2, 0.5)]
+    form = Form(3, triples)
+    # the order given, repeats included, and iteration yields the triples
+    assert form.pairs == tuple(triples) and list(form) == triples
+    assert form.key == (3, False, ((1, 2, 0.25), (0, 1, -1.0), (1, 2, 0.5)), 4)
+    assert form.matrix[1, 2] == form.matrix[2, 1] == 0.75
+    assert max_over_signs(3, form) == max_over_signs(3, triples)
+    checked = []
+    monkeypatch.setattr(enumeration, "is_finite", lambda w: checked.append(w) or True)
+    assert max_over_signs(3, form) == max_over_signs(3, triples)
+    # only the bare triples were checked; the Form was checked when it was built
+    assert len(checked) == len(triples)
+    with pytest.raises(ParameterError, match="a form on 3 variables used for 4"):
+        max_over_signs(4, form)
+    # a mapping is taken in sorted pair order
+    assert Form.of(3, {(1, 2): 1.0, (0, 2): 2.0, (0, 1): 3.0}).pairs == (
+        (0, 1, 3.0), (0, 2, 2.0), (1, 2, 1.0))

@@ -190,6 +190,18 @@ def test_ratio_probe_refuses_before_any_ascent(monkeypatch):
     assert calls == [1]
 
 
+def test_exhaustive_ratio_probe_refuses_more_than_fifteen_pairs(monkeypatch):
+    def no_form(*args, **kwargs):
+        raise AssertionError("a pattern was built before the pair count was checked")
+
+    monkeypatch.setattr(optimize, "Form", no_form)
+    with pytest.raises(ResourceLimitError, match="21 coefficient pairs exceeds the guard of 15"):
+        ratio_probe(7, exhaustive=True)
+    with pytest.raises(ResourceLimitError, match="16 coefficient pairs exceeds the guard of 15"):
+        ratio_probe(8, exhaustive=True, bipartite_planar=True)
+    assert optimize.EXHAUSTIVE_PAIR_LIMIT == 15
+
+
 def test_grothendieck_bounds():
     assert GROTHENDIECK.kg2 == pytest.approx(math.sqrt(2.0), abs=1e-15)
     assert GROTHENDIECK.kg3_upper == 1.5163
