@@ -96,7 +96,7 @@ class PairwiseInequality:
 
     @functools.cached_property
     def form(self) -> Form:
-        """engine_pairs as a Form, checked when classical_bound first asks."""
+        """engine_pairs as a Form, checked the first time a value is asked for."""
         return Form(self.variable_count, self._pairs)
 
     def to_json_dict(self) -> dict:
@@ -171,6 +171,8 @@ def evaluate(ineq: PairwiseInequality, assignment: SignAssignment) -> float:
     """Value of the form at one deterministic assignment.
 
     Bipartite assignments list the X block first, then the Y block.
+    Weights are read through ineq.form, so a set whose absolute sum
+    overflows a float is refused.
     """
     if len(assignment) != ineq.variable_count:
         raise DimensionError(
@@ -179,7 +181,7 @@ def evaluate(ineq: PairwiseInequality, assignment: SignAssignment) -> float:
         )
     s = assignment.values
     total = 0.0
-    for i, j, w in ineq.engine_pairs():
+    for i, j, w in ineq.form:
         total += w * s[i] * s[j]
     return total
 

@@ -10,19 +10,25 @@ vertices:
 
 Membership is decided by projecting onto the hull with Wolfe's
 min-norm-point algorithm (a support-oracle method: each iteration only
-asks which vertex is extreme in a direction).  The corral's bordered
-linear system is kept from cycle to cycle and solved by elimination;
-least squares takes over only when the corral turns affinely dependent,
-and once per call to re-solve the final corral from its vertices.
-Outside points get a separating hyperplane that is verified against
-every vertex; inside points get the final corral's convex weights,
-verified to rebuild the point.  Facet checks are exact: coefficients are
-rationalized and scaled to integers, the values on all vertices are one
-int64 matrix product, and the affine rank of the tight set comes from a
-vectorized fraction-free elimination in int64.  Vertex entries are in
-{-1, 0, 1}, so the products stay in int64 while sum |c| < 2^62; past
-that, and whenever elimination entries reach 2^31, the same code runs on
-Python integers (object dtype), so no answer depends on a word size.
+asks which vertex is extreme in a direction).  The corral's rows, its
+bordered linear system and the right-hand side are grown in buffers
+allocated once per call and compacted in place by minor cycles; the
+system is solved by elimination, least squares takes over only when the
+corral turns affinely dependent, and once per call to re-solve the final
+corral from its vertices.  Dot products with a new vertex read its row
+of the vertex table, never a copy, because OpenBLAS results depend on a
+row's alignment.  Outside points get a separating hyperplane that is
+verified against every vertex; inside points get the final corral's
+convex weights, verified to rebuild the point.  Facet checks are exact:
+coefficients are rationalized and scaled to integers, the values on all
+vertices are one int64 matrix product, and the affine rank of the tight
+set comes from a vectorized fraction-free elimination in int64, run
+first on a fixed-seed sample of 2D difference rows and accepted from it
+only when the sample reaches the rank's ceiling (D - 1, or D for zero
+coefficients), else on every row.  Vertex entries are in {-1, 0, 1}, so
+the products stay in int64 while sum |c| < 2^62; past that, and
+whenever elimination entries reach 2^31, the same code runs on Python
+integers (object dtype), so no answer depends on a word size.
 Vertex tables are built by broadcasting over the bits of 0..2^k - 1 in
 int8 and returned as int64.  Bipartite cut and correlation variants are
 not provided; nothing downstream consumes them.
@@ -229,53 +235,69 @@ def _project_to_hull(point: np.ndarray, verts: np.ndarray):
     Maintains a corral of vertices and its convex weights; each major
     cycle adds the vertex most extreme in the direction of the residual
     and minor cycles restore feasibility of the affine minimizer.  The
-    corral's bordered system (see _affine_solve) is kept between cycles:
-    a major cycle adds one row and column, a minor cycle drops those of
-    the vertices it removes.  The projection is optimal when the duality
-    gap is closed, or when the extreme vertex is already in the corral:
-    the corral's minimizer cannot move then, whatever rounding leaves in
-    the gap.  The final corral is then solved once more by least squares
-    from its vertices, and those weights are taken when they are
-    feasible, so the projection's last digits depend on the final corral
-    alone and not on the order in which the kept system was built.
-    Returns (corral row indices, convex weights, iterations).
+    corral's rows, its bordered system (see _affine_solve) and the
+    system's right-hand side live in buffers allocated once per call and
+    used from their first row: a major cycle writes one more row (and
+    column), a minor cycle moves the kept ones up in place.  The rows
+    buffer is laid out as a fresh verts[corral] would be, and every dot
+    product with a new vertex reads its row of verts itself: OpenBLAS
+    results depend on a row's alignment, and tests/test_projection_bits.py
+    holds this loop to the bits of one that copies.  The projection is
+    optimal when the duality gap is closed, or when the extreme vertex
+    is already in the corral: the corral's minimizer cannot move then,
+    whatever rounding leaves in the gap.  The final corral is then
+    solved once more by least squares from its vertices, and those
+    weights are taken when they are feasible, so the projection's last
+    digits depend on the final corral alone and not on the order in
+    which the kept system was built.  Returns (corral row indices,
+    convex weights, iterations).
     """
     distances = ((verts - point) ** 2).sum(axis=1)
     corral = [int(np.argmin(distances))]
     first = verts[corral[0]]
+    # an affinely independent corral has at most D + 1 vertices
+    capacity = min(len(verts), verts.shape[1] + 1)
+    members = np.empty((capacity, verts.shape[1]))
+    system = np.empty((capacity + 1, capacity + 1))
+    rhs = np.empty(capacity + 1)
+    members[0] = first
+    system[:2, :2] = [[0.0, 1.0], [1.0, first @ first]]
+    rhs[:2] = [1.0, first @ point]
     weights = np.array([1.0])
-    system = np.array([[0.0, 1.0], [1.0, first @ first]])
-    rhs = np.array([1.0, first @ point])
     # absolute duality-gap cutoff; coordinates here are O(1) integers
     eps = 1e-12
     for iteration in range(1, MEMBERSHIP_ITERATION_CAP + 1):
-        members = verts[corral]
-        x = weights @ members
+        size = len(corral)
+        x = weights @ members[:size]
         g = point - x
         scores = verts @ g
-        candidate = int(np.argmax(scores))
+        candidate = int(scores.argmax())
         if scores[candidate] <= g @ x + eps or candidate in corral:
-            if len(corral) > 1:
-                affine = _affine_least_squares(members, point)
+            if size > 1:
+                affine = _affine_least_squares(members[:size], point)
                 if (affine >= -1e-14).all():
-                    weights = np.clip(affine, 0.0, None)
+                    weights = np.maximum(affine, 0.0)
                     weights /= weights.sum()
             return np.array(corral), weights, iteration
+        if size == len(members):
+            # rounding has kept a dependent corral: make room for as many again
+            members = np.pad(members, ((0, size), (0, 0)))
+            system = np.pad(system, ((0, size), (0, size)))
+            rhs = np.pad(rhs, (0, size))
         vertex = verts[candidate]
-        size = len(system)
-        grown = np.empty((size + 1, size + 1))
-        grown[:size, :size] = system
-        grown[size, 0] = grown[0, size] = 1.0
-        grown[size, 1:size] = grown[1:size, size] = members @ vertex
-        grown[size, size] = vertex @ vertex
-        system = grown
-        rhs = np.append(rhs, vertex @ point)
+        new = size + 1
+        system[new, 0] = system[0, new] = 1.0
+        system[new, 1:new] = system[1:new, new] = members[:size] @ vertex
+        system[new, new] = vertex @ vertex
+        rhs[new] = vertex @ point
+        members[size] = vertex
         corral.append(candidate)
-        weights = np.append(weights, 0.0)
+        weights = np.concatenate((weights, [0.0]))
         while True:
-            affine = _affine_solve(system, rhs)
+            border = len(corral) + 1
+            affine = _affine_solve(system[:border, :border], rhs[:border])
             if (affine >= -1e-14).all():
-                weights = np.clip(affine, 0.0, None)
+                weights = np.maximum(affine, 0.0)
                 weights /= weights.sum()
                 break
             negative = affine < -1e-14
@@ -283,13 +305,14 @@ def _project_to_hull(point: np.ndarray, verts: np.ndarray):
             theta = steps.min()
             weights = (1.0 - theta) * weights + theta * affine
             weights[weights < 1e-15] = 0.0
-            keep = weights > 0.0
-            corral = [c for c, k in zip(corral, keep) if k]
-            weights = weights[keep]
+            kept = np.flatnonzero(weights > 0.0)
+            corral = [corral[t] for t in kept]
+            weights = weights[kept]
             weights /= weights.sum()
-            rows = np.concatenate(([True], keep))
-            system = system[np.ix_(rows, rows)]
-            rhs = rhs[rows]
+            members[: len(kept)] = members[kept]
+            rows = np.concatenate(([0], kept + 1))
+            system[: len(rows), : len(rows)] = system[rows[:, None], rows]
+            rhs[: len(rows)] = rhs[rows]
     raise ConvergenceError(
         f"hull projection did not converge within {MEMBERSHIP_ITERATION_CAP} iterations"
     )
@@ -435,6 +458,25 @@ def _integer_rank(matrix: np.ndarray) -> int:
     return rank
 
 
+def _affine_rank(points: np.ndarray, top: int) -> int:
+    """Exact affine rank of the rows of points, given that it is at most top.
+
+    The rank is that of the differences points[1:] - points[0].  Past
+    2D of them (D columns), a sample of 2D drawn with a fixed seed is
+    ranked first: no subset outranks the whole set, and the whole set
+    does not pass top, so a sample that reaches top settles the answer.
+    Otherwise every difference is ranked, so the answer is exact either
+    way and only its cost depends on the sample.
+    """
+    differences = points[1:] - points[0]
+    sample_size = 2 * points.shape[1]
+    if len(differences) > sample_size:
+        sample = np.sort(np.random.default_rng(0).choice(len(differences), sample_size, replace=False))
+        if _integer_rank(differences[sample]) == top:
+            return top
+    return _integer_rank(differences)
+
+
 def facet_check(
     spec: PolytopeSpec,
     coefficients: np.ndarray,
@@ -468,7 +510,9 @@ def facet_check(
         return FacetReport(
             valid=valid, tight_count=0, affine_rank=-1, ambient_dim=spec.ambient_dim
         )
-    rank = _integer_rank(tight[1:] - tight[0])
+    # a nonzero c puts the tight set in a hyperplane
+    top = spec.ambient_dim - 1 if any(ints) else spec.ambient_dim
+    rank = _affine_rank(tight, top)
     return FacetReport(
         valid=valid,
         tight_count=len(tight),

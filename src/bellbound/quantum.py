@@ -104,6 +104,8 @@ def quantum_value(
     Complete mode substitutes X_i X_j -> +x_i . x_j when transported
     (the default) and the raw singlet -x_i . x_j otherwise.  Bipartite
     mode always uses the singlet convention X_i Y_j -> -x_i . y_j.
+    The weights are read through ineq.form, which refuses a set whose
+    absolute sum overflows a float.
     """
     if len(config) != ineq.variable_count:
         raise DimensionError(
@@ -115,7 +117,7 @@ def quantum_value(
     gram = config.gram()
     sign = 1.0 if (ineq.mode == MODE_COMPLETE and transported) else -1.0
     raw = 0.0
-    for i, j, w in ineq.engine_pairs():
+    for i, j, w in ineq.form:
         raw += w * sign * gram[i, j]
     raw = float(raw)
     return ViolationReport(

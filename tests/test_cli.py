@@ -3,6 +3,7 @@
 import hashlib
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -668,6 +669,23 @@ def test_weights_that_overflow_a_float_are_refused(capsys, pairs):
     code, out, err = run(capsys, ["classical-bound", "--ineq", ineq])
     assert code == 1
     assert out == ""
+    assert json.loads(err) == {
+        "error": "ParameterError",
+        "message": "the absolute sum of the weights overflows a float",
+    }
+
+
+@pytest.mark.parametrize("pairs", OVERFLOWING_WEIGHTS)
+def test_qvalue_refuses_weights_that_overflow_a_float(capsys, pairs):
+    # the quantum sum would overflow to inf and report a violation
+    ineq = json.dumps(
+        {"mode": "complete", "n_left": 3, "n_right": 0, "rhs": 1,
+         "coefficients": [{"i": i, "j": j, "value": w} for i, j, w in pairs]}
+    )
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out, err = run(capsys, ["qvalue", "--ineq", ineq, "--vectors", RING3])
+    assert (code, out) == (1, "")
     assert json.loads(err) == {
         "error": "ParameterError",
         "message": "the absolute sum of the weights overflows a float",

@@ -67,6 +67,12 @@ def test_evaluate_known_assignments():
     assert evaluate(triangle(), SignAssignment((1, 1, 1))) == -3.0
 
 
+def test_evaluate_refuses_weights_that_overflow_a_float():
+    ineq = PairwiseInequality(MODE_COMPLETE, 3, 0, {(0, 1): 1e308, (0, 2): 1e308, (1, 2): 1e308}, 1.0)
+    with pytest.raises(ParameterError, match="overflows a float"):
+        evaluate(ineq, SignAssignment((1, 1, 1)))
+
+
 def test_sign_assignment_validation():
     with pytest.raises(ParameterError):
         SignAssignment((1, 0, -1))

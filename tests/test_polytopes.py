@@ -445,3 +445,65 @@ def test_integer_rank_edge_cases():
     assert _integer_rank(np.array([[2**31, 1], [2**32, 2]])) == 1
     assert _integer_rank(np.array([[2**31, 1], [2**32, 3]])) == 2
     assert _integer_rank(np.array([[2**62, 2**62 - 1], [2**62 - 1, 2**62 - 2]])) == 2
+
+
+def _on_pairs(spec, weights):
+    """Coefficient vector with the given weight on each coordinate pair."""
+    index = {pair: k for k, pair in enumerate(spec.coordinate_pairs())}
+    c = np.zeros(spec.ambient_dim)
+    for pair, w in weights.items():
+        c[index[pair]] = w
+    return c
+
+
+# (spec, weights by pair, rhs, more than 2D difference rows, valid); the
+# first four are the triangle facet of each kind (CHSH for the bipartite one)
+TRIANGLE = {(0, 1): -1, (0, 2): -1, (1, 2): -1}
+SAMPLED_RANK_CASES = {
+    "bell-triangle": (PolytopeSpec.bell(7), TRIANGLE, 1.0, True, True),
+    "cut-triangle": (PolytopeSpec.cut(7), {(0, 1): 1, (0, 2): -1, (1, 2): -1}, 0.0, True, True),
+    "cor-triangle": (PolytopeSpec.cor(6), {(0, 1): -1}, 0.0, True, True),
+    "bipartite-chsh": (
+        PolytopeSpec.bell_bipartite(3, 4), {(0, 0): 1, (0, 1): 1, (1, 0): 1, (1, 1): -1}, 2.0, True, True
+    ),
+    # X0 X1 = 1 is a copy of bell(7), far below a facet of bell(8)
+    "non-facet-face": (PolytopeSpec.bell(8), {(0, 1): 1}, 1.0, True, True),
+    "invalid": (PolytopeSpec.cor(6), {(0, 3): -1, (1, 3): 1, (3, 5): 1}, 0.0, True, False),
+    # every vertex is tight and the rank is D; cor(5) has 31 = 2D + 1 differences
+    "zero-form-cor": (PolytopeSpec.cor(5), {}, 0.0, True, True),
+    "zero-form-bell": (PolytopeSpec.bell(6), {}, 0.0, True, True),
+    # 57 tight vertices of cor(7): exactly 2D difference rows, all ranked
+    "exactly-2D": (PolytopeSpec.cor(7), {(0, 4): -2, (1, 4): 2, (2, 6): 2, (3, 5): -1}, 0.0, False, False),
+}
+
+
+@pytest.mark.parametrize("name", SAMPLED_RANK_CASES)
+def test_sampled_affine_rank_equals_the_full_rank(name):
+    spec, weights, rhs, sampled, valid = SAMPLED_RANK_CASES[name]
+    c = _on_pairs(spec, weights)
+    verts = vertices(spec)
+    tight = verts[verts @ c == rhs]
+    assert (len(tight) - 1 > 2 * spec.ambient_dim) == sampled
+    report = facet_check(spec, c, rhs)
+    assert report.tight_count == len(tight)
+    assert report.affine_rank == _integer_rank(tight[1:] - tight[0])
+    assert report.valid == valid
+    assert report.is_facet == name.endswith(("triangle", "chsh"))
+    if not weights:
+        assert report.affine_rank == spec.ambient_dim
+
+
+def test_facet_rank_stops_at_a_sample_that_reaches_d_minus_1(monkeypatch):
+    shapes = []
+    rank = polytopes._integer_rank
+    monkeypatch.setattr(polytopes, "_integer_rank", lambda m: shapes.append(m.shape) or rank(m))
+    spec = PolytopeSpec.bell(10)
+    report = facet_check(spec, _on_pairs(spec, TRIANGLE), 1.0)
+    assert (report.is_facet, report.tight_count) == (True, 384)
+    assert shapes == [(90, 45)]
+    # a face that the sample cannot show to be a facet is ranked in full
+    shapes.clear()
+    spec = PolytopeSpec.bell(8)
+    report = facet_check(spec, _on_pairs(spec, {(0, 1): 1}), 1.0)
+    assert (report.valid, report.tight_count, report.affine_rank) == (True, 64, 21)
+    assert shapes == [(56, 28), (63, 28)]

@@ -7,7 +7,9 @@ import numpy as np
 import pytest
 
 from bellbound import (
+    MODE_COMPLETE,
     DimensionError,
+    PairwiseInequality,
     ParameterError,
     UnitVectorConfig,
     WebSpec,
@@ -172,3 +174,10 @@ def test_quantum_value_phase_invariant():
     base = quantum_value(ineq, bouquet(8, 3, 0.9)).value
     shifted = quantum_value(ineq, bouquet(8, 3, 0.9, phase=1.234)).value
     assert shifted == pytest.approx(base, abs=1e-12)
+
+
+def test_quantum_value_refuses_weights_that_overflow_a_float():
+    ineq = PairwiseInequality(MODE_COMPLETE, 3, 0, {(0, 1): 1e308, (0, 2): 1e308, (1, 2): 1e308}, 1.0)
+    config = UnitVectorConfig(np.array([[1.0, 0.0]] * 3))
+    with pytest.raises(ParameterError, match="overflows a float"):
+        quantum_value(ineq, config)
