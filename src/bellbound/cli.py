@@ -25,12 +25,10 @@ import numpy as np
 from .enumeration import DEFAULT_GUARD, walk_memo
 from .errors import BellboundError, ParameterError
 from .inequalities import (
-    MODE_COMPLETE,
     CutInequality,
     PairwiseInequality,
     chsh,
     classical_bound,
-    embed_in_complete,
     to_cut_form,
     triangle,
 )
@@ -375,12 +373,10 @@ def _cmd_scan_theta(args) -> int:
 
 def _cmd_gram(args) -> int:
     ineq = load_inequality(args.ineq)
-    if ineq.mode != MODE_COMPLETE:
-        ineq = embed_in_complete(ineq)
     n = ineq.variable_count
     dim = args.dim if args.dim is not None else n
     result, bound = gram_ratio(
-        ineq.coefficients, n, dim, restarts=args.restarts, seed=args.seed, guard=args.guard
+        ineq.engine_pairs(), n, dim, restarts=args.restarts, seed=args.seed, guard=args.guard
     )
     payload = {
         "objective": result.objective,

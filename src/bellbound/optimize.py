@@ -7,17 +7,20 @@ are the stationary configurations of sum a_ij x_i . x_j on the product
 of spheres; the ratio of the vector optimum to the sign optimum is the
 quantity the Grothendieck constants bound.
 
-One kernel, _ascend, runs every ascent: it advances a stack of
-configurations, each a start with its own coefficient matrix.
-gram_ascent stacks the restarts of one form; ratio_probe stacks every
-instance x restart of a probe, so its instances climb together.
+One kernel, _ascend, advances a stack of configurations, each a start
+with its own coefficient matrix, and one driver, _climb, feeds it: it
+stacks (form, restart) configurations in blocks and returns each form's
+first restart with the largest objective.  gram_ascent runs it on one
+form; ratio_probe runs it on every instance of a probe, so its
+instances climb together.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, replace
+from collections.abc import Sequence
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -181,10 +184,6 @@ class GramAscentResult:
     restart_objectives: tuple[float, ...]
 
 
-def _symmetric_matrix(n: int, coefficients: dict[tuple[int, int], float]) -> np.ndarray:
-    return Form.of(n, coefficients).matrix
-
-
 def _check_ascent_sizes(n: int, dim: int, restarts: int) -> None:
     if dim < 1 or dim > n:
         raise ParameterError(f"dim must lie in 1..{n}, got {dim}")
@@ -256,6 +255,36 @@ def _ascend(a: np.ndarray, stack: np.ndarray):
     return values, sweeps, converged, monotone
 
 
+def _climb(forms, n: int, dim: int, restarts: int):
+    """Yield each form's best of restarts, as a GramAscentResult, in form order.
+
+    forms gives (coefficient matrix, seed) pairs; each form's restart
+    streams are split from its seed per restart index.  Every form x
+    restart configuration runs through _ascend in blocks of
+    ASCENT_BLOCK, each giving the bits it would give alone.  A form's
+    result is its first restart with the largest objective, with its own
+    monotone flag and restart objectives, yielded once its last restart
+    has climbed; only the form still climbing holds vectors.
+    """
+    configurations = (
+        (a, child) for a, seed in forms for child in np.random.SeedSequence(seed).spawn(restarts)
+    )
+    objectives, best, monotone = [], None, True
+    while block := list(itertools.islice(configurations, ASCENT_BLOCK)):
+        matrices, children = zip(*block)
+        stack = _unit_starts(children, n, dim)
+        values, sweeps, converged, block_monotone = _ascend(np.stack(matrices), stack)
+        for k, value in enumerate(values.tolist()):
+            objectives.append(value)
+            monotone = monotone and bool(block_monotone[k])
+            if best is None or value > best[0]:
+                best = value, stack[k], bool(converged[k]), int(sweeps[k])
+            if len(objectives) == restarts:
+                objective, vectors, done, count = best
+                yield GramAscentResult(objective, vectors.copy(), done, count, monotone, tuple(objectives))
+                objectives, best, monotone = [], None, True
+
+
 def gram_ascent(
     coefficients: dict[tuple[int, int], float] | Form,
     n: int,
@@ -269,35 +298,12 @@ def gram_ascent(
     which can only raise the objective (the terms containing x_i are
     linear in it and everything else is untouched); zero gradients keep
     the current vector.  Restart streams are split from the seed per
-    restart index, and the restarts advance together in blocks of
-    ASCENT_BLOCK, each giving the same bits as when run alone; the first
-    restart with the largest objective is returned.
+    restart index, the restarts climb together (_climb), each giving the
+    bits it would give alone, and the first restart with the largest
+    objective is returned.
     """
     _check_ascent_sizes(n, dim, restarts)
-    a = _symmetric_matrix(n, coefficients)
-
-    best: GramAscentResult | None = None
-    monotone = True
-    restart_objectives: list[float] = []
-    children = np.random.SeedSequence(seed).spawn(restarts)
-    for first in range(0, restarts, ASCENT_BLOCK):
-        stack = _unit_starts(children[first : first + ASCENT_BLOCK], n, dim)
-        values, sweeps, converged, block_monotone = _ascend(
-            np.broadcast_to(a, (len(stack), n, n)), stack
-        )
-        monotone = monotone and bool(block_monotone.all())
-        restart_objectives.extend(values.tolist())
-        k = int(np.argmax(values))
-        if best is None or values[k] > best.objective:
-            best = GramAscentResult(
-                objective=float(values[k]),
-                vectors=stack[k].copy(),
-                converged=bool(converged[k]),
-                sweeps=int(sweeps[k]),
-                monotone=True,
-                restart_objectives=(),
-            )
-    return replace(best, monotone=monotone, restart_objectives=tuple(restart_objectives))
+    return next(_climb([(Form.of(n, coefficients).matrix, seed)], n, dim, restarts))
 
 
 def _sign_optimum(form: Form, guard: int):
@@ -309,7 +315,7 @@ def _sign_optimum(form: Form, guard: int):
 
 
 def gram_ratio(
-    coefficients: dict[tuple[int, int], float],
+    coefficients: dict[tuple[int, int], float] | Sequence[tuple[int, int, float]] | Form,
     n: int,
     dim: int,
     restarts: int = 32,
@@ -318,10 +324,11 @@ def gram_ratio(
 ) -> tuple[GramAscentResult, float]:
     """(ascent result, sign optimum): the Grothendieck ratio is result.objective / bound.
 
-    dim and restarts are checked, then one Form of the coefficients
-    gives the sign optimum (_sign_optimum) and the ascent's matrix, so a
-    bad size, a bad pair, the guard and a bound <= 0 all refuse before
-    the ascent runs.
+    coefficients are a mapping {(i, j): w}, (i, j, w) triples such as
+    an inequality's engine_pairs(), or a Form.  dim and restarts are
+    checked, then one Form of them gives the sign optimum (_sign_optimum)
+    and the ascent's matrix, so a bad size, a bad pair, the guard and a
+    bound <= 0 all refuse before the ascent runs.
     """
     _check_ascent_sizes(n, dim, restarts)
     form = Form.of(n, coefficients)
@@ -367,11 +374,11 @@ def ratio_probe(
     instance draws from a stream split per instance index.
 
     Every instance's sign optimum is taken (_sign_optimum) before any
-    ascent, so the guard and a bound <= 0 refuse first.  Then all
-    instance x restart configurations climb together in blocks of
-    ASCENT_BLOCK, each restart seeded as gram_ascent(coeffs, n, dim,
-    restarts, instance seed) seeds it and giving the same bits, so each
-    ratio is that call's objective over the sign optimum.
+    ascent, so the guard and a bound <= 0 refuse first.  Then every
+    instance x restart configuration climbs in one _climb, as
+    gram_ascent's restarts do, so each ratio is gram_ascent(coeffs, n,
+    dim, restarts, instance seed).objective over the sign optimum, bit
+    for bit; only that objective is kept per instance.
     """
     pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
     if bipartite_planar:
@@ -404,23 +411,8 @@ def ratio_probe(
         bounds.append(_sign_optimum(form, guard))
         instance_matrices.append(form.matrix)
 
-    def configurations():
-        for k, (a, inst_seed) in enumerate(zip(instance_matrices, seed_values)):
-            for child in np.random.SeedSequence(inst_seed).spawn(restarts):
-                yield k, a, child
-
-    # the first restart with the largest objective wins, as in gram_ascent
-    objectives = [-math.inf] * len(patterns)
-    pending = configurations()
-    while block := list(itertools.islice(pending, ASCENT_BLOCK)):
-        owners, matrices, children = zip(*block)
-        stack = _unit_starts(children, n, dim)
-        values = _ascend(np.stack(matrices), stack)[0]
-        for k, value in zip(owners, values.tolist()):
-            if value > objectives[k]:
-                objectives[k] = value
-
-    ratios = [objective / bound for objective, bound in zip(objectives, bounds)]
+    climbs = _climb(zip(instance_matrices, seed_values), n, dim, restarts)
+    ratios = [result.objective / bound for result, bound in zip(climbs, bounds)]
     best = max(range(len(ratios)), key=ratios.__getitem__)  # the first largest
 
     return RatioProbeSummary(

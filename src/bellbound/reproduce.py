@@ -328,7 +328,7 @@ def _noisy_triangle() -> float:
 
 def _gram_ratio(ineq: PairwiseInequality) -> float:
     """Two-dimensional vector ascent over the classical bound."""
-    result, bound = gram_ratio(ineq.coefficients, ineq.variable_count, 2, restarts=16, seed=7)
+    result, bound = gram_ratio(ineq.engine_pairs(), ineq.variable_count, 2, restarts=16, seed=7)
     return result.objective / bound
 
 
@@ -455,7 +455,7 @@ _CLAIMS: list[tuple[str, str, str, float, float, Callable[[], float]]] = [
     ("gram-triangle-ratio", "vector ascent on the three-cycle reaches ratio 3/2",
      SOURCE_PAPER, 1.5, 1e-6, lambda: _gram_ratio(triangle())),
     ("gram-chsh-ratio", "vector ascent on the embedded 2x2 reaches ratio sqrt(2)",
-     SOURCE_PAPER, _SQRT2, 1e-6, lambda: _gram_ratio(chsh_embedded()[0])),
+     SOURCE_PAPER, _SQRT2, 1e-6, lambda: _gram_ratio(chsh())),
     ("planar-bipartite-kg2", "planar bipartite ratios stay within sqrt(2)",
      SOURCE_PAPER, 1.0, 0.0, _planar_bipartite_bound),
     ("ratio-probe-n3-max", "exhaustive 3-variable probe peaks at ratio 3/2",

@@ -412,6 +412,29 @@ def test_gram_byte_determinism(capsys):
     assert first == second
 
 
+# sha256 of gram --restarts 70 --seed 5 stdout, per inequality and format;
+# chsh is bipartite, so it pins the ascent on the joint variable list
+GRAM_PINNED = {
+    ("chsh", "csv"): "411e9b5dde32b73edaeab804774dd85dcf8d1cfc7fcb7703d5713f2b3b444234",
+    ("chsh", "json"): "6fd09b5dccb1109548e6041b9962382110e75cf54f4fd75a27c47e903a3dbaf7",
+    ("chsh", "table"): "c1a65ea4964a6618302337fa016664baa3f62f6c67dfa89b6d326a7d90313efd",
+    ("triangle", "csv"): "c89329c0cfd1871549de2639f6523044782838131f10e2e255bc04ab1b5b7a11",
+    ("triangle", "json"): "5f2eaf7e625ec7664126a26e5e3368e3baef46f4b52cbe9482ef401e004e225f",
+    ("triangle", "table"): "3d5fb077dcd6e59b913d92c510ccb5795a5a3da5787c4f4cf94a4138de6424d9",
+    ("cliqueweb:5,2,1", "csv"): "f00d465ba8de82fa09bce32975e70202db21f945df49a0d7e93a7ff91b45e368",
+    ("cliqueweb:5,2,1", "json"): "bca093eb134eddac6870d09266b545103d1b412b66e00cc4381748e5a5c56e34",
+    ("cliqueweb:5,2,1", "table"): "519fb7bf56c65ac843d630f1505dce1c05ba7380b8129f77bbb721b07027ac7b",
+}
+
+
+@pytest.mark.parametrize("ineq, fmt", sorted(GRAM_PINNED))
+def test_gram_output_is_pinned(capsys, ineq, fmt):
+    argv = ["gram", "--ineq", ineq, "--restarts", "70", "--seed", "5", "--format", fmt]
+    code, out, err = run(capsys, argv)
+    assert code == 0 and err == ""
+    assert hashlib.sha256(out.encode()).hexdigest() == GRAM_PINNED[ineq, fmt]
+
+
 def test_gram_refuses_an_oversized_inequality_before_the_ascent(capsys, monkeypatch):
     def ascent_must_not_run(*args, **kwargs):
         raise AssertionError("gram_ascent ran before the guard refused")

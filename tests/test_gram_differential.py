@@ -16,13 +16,21 @@ from bellbound.optimize import (
     ASCENT_SWEEP_CAP,
     ASCENT_TOLERANCE,
     GramAscentResult,
-    _symmetric_matrix,
 )
+
+
+def reference_symmetric_matrix(n, coefficients):
+    """The float matrix of a {(i, j): w} mapping, filled pair by pair."""
+    a = np.zeros((n, n))
+    for (i, j), w in coefficients.items():
+        a[i, j] = w
+        a[j, i] = w
+    return a
 
 
 def reference_ascent(coefficients, n, dim, restarts, seed, cap=ASCENT_SWEEP_CAP):
     """The round-robin ascent with one restart at a time."""
-    a = _symmetric_matrix(n, coefficients)
+    a = reference_symmetric_matrix(n, coefficients)
 
     def objective(x):
         return 0.5 * float(np.sum(a * (x @ x.T)))

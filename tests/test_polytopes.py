@@ -16,6 +16,7 @@ from bellbound import (
     ambient_coefficients,
     bell_embed,
     bell_to_cut,
+    bouquet,
     chsh,
     cut_to_bell,
     facet_check,
@@ -257,6 +258,20 @@ def test_far_points_get_a_verified_outside_answer():
         assert 0.0 < cert.margin <= cert.distance * (1.0 + 1e-12)
     cert = membership(PolytopeSpec.bell(3), [1e300, 0.0, 0.0])
     assert not cert.inside and cert.distance == 1e300 and cert.margin > 0.0
+
+
+@pytest.mark.xfail(
+    strict=True,
+    raises=ConvergenceError,
+    reason="known defect: the first normal may fail to separate a point this close to a face",
+)
+def test_near_boundary_bouquet_point_gets_a_certified_answer():
+    # the first 12 vectors of a (12, 3) bouquet, scaled to 2.2e-7 from the boundary of bell(12)
+    spec = PolytopeSpec.bell(12)
+    gram = bouquet(12, 3, 1.0199918468609641).gram()
+    point = np.array([gram[i, j] for i, j in spec.coordinate_pairs()]) / 1.3630402088165283
+    cert = membership(spec, point)
+    assert cert.inside or cert.margin > 0.0
 
 
 def test_points_whose_distance_overflows_are_refused():
